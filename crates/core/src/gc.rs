@@ -317,10 +317,9 @@ impl<K, V> Drop for Collector<K, V> {
 mod tests {
     use super::*;
     use crate::node::IKey;
-    use std::mem::ManuallyDrop;
 
     fn mknode(k: u64) -> *mut Node<u64, u64> {
-        Node::alloc(IKey::Val(ManuallyDrop::new(k), k), Some(k), 1)
+        Node::alloc(IKey::Val(k, k), Some(k), 1)
     }
 
     #[test]
@@ -391,7 +390,7 @@ mod tests {
         let c: Collector<u64, Tracked> = Collector::new(2);
         {
             let g = c.pin();
-            let n = Node::alloc(IKey::Val(ManuallyDrop::new(1), 0), Some(Tracked), 1);
+            let n = Node::alloc(IKey::Val(1, 0), Some(Tracked), 1);
             unsafe { c.retire(g.raw, n) };
         }
         drop(c);

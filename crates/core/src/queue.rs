@@ -43,24 +43,24 @@
 //! sequence numbering, and timestamp placement are identical to the eager
 //! path, so strict-mode semantics are preserved bit for bit.
 //!
-//! Batching widens a window the eager path does not have: a claimed node's
-//! key stays comparable-by-reference until the node is reclaimed, after
-//! the winning deleter has moved the key out. Keys must therefore order
-//! correctly on a bitwise copy whose original has been dropped — true for
-//! every `Copy`/scalar key (the paper's queues only ever hold integer
-//! priorities), but undefined behaviour for heap-owning keys (`String`,
-//! `Vec<u8>`, …). The batched constructors carry a `K: Copy` bound so the
-//! type system enforces this; heap-owning keys get the eager default.
+//! ## Key ownership
 //!
-//! Locking invariant: a node's `levels[i].next` is only written while
-//! holding that node's `levels[i].lock`; reads are lock-free (`Acquire`).
+//! On both paths a concurrent search may still compare a claimed node's key
+//! after the winning deleter has returned: eagerly unlinked nodes are
+//! reachable by walks that loaded them earlier, and batched nodes stay
+//! linked until the sweep. A node therefore keeps its key until the
+//! collector frees it (see the `node` module), and `delete_min` returns a
+//! clone, hence its `K: Clone` bound (free for `Copy` keys). The batched
+//! constructors keep their narrower `K: Copy` bound.
+//!
+//! Locking invariant: a level's `next` in a node's tower is only written
+//! while holding that same level's `lock`; reads are lock-free (`Acquire`).
 //! Because a deleter holds the predecessor's level lock while unlinking,
 //! holding a node's level lock also pins the node into the list at that
 //! level — which is what makes `getLock`'s validation sound.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::mem::ManuallyDrop;
 use std::sync::atomic::{AtomicIsize, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex as StdMutex};
 use std::task::{Context, Poll, Waker};
@@ -230,7 +230,8 @@ struct NativeCtx {
 /// The native [`Platform`]: one is stack-allocated per public-API call.
 /// Operands go in through `input` before the algorithm runs; results come
 /// back out of `out` after it returns (key/value ownership never crosses
-/// the platform trait).
+/// the platform trait). A `delete_min` op also carries `clone_key`: the
+/// node keeps its key until it is freed, so the winner returns a clone.
 ///
 /// SAFETY (for every raw dereference below): the algorithm only hands back
 /// node handles it reached between this platform's `enter`/`exit` hooks,
@@ -241,6 +242,7 @@ struct NativeOp<'q, K, V> {
     q: &'q SkipQueue<K, V>,
     input: Cell<Option<(K, V)>>,
     out: Cell<Option<(K, V)>>,
+    clone_key: Option<fn(&K) -> K>,
 }
 
 impl<'q, K: Ord, V> NativeOp<'q, K, V> {
@@ -249,6 +251,18 @@ impl<'q, K: Ord, V> NativeOp<'q, K, V> {
             q,
             input: Cell::new(None),
             out: Cell::new(None),
+            clone_key: None,
+        }
+    }
+
+    /// An op that may claim a node and return its key.
+    fn deleting(q: &'q SkipQueue<K, V>) -> Self
+    where
+        K: Clone,
+    {
+        Self {
+            clone_key: Some(K::clone),
+            ..Self::new(q)
         }
     }
 
@@ -267,10 +281,8 @@ impl<'q, K: Ord, V> NativeOp<'q, K, V> {
 ///
 /// # Safety
 ///
-/// `node` must be reachable under the caller's pin. Retired-batch members
-/// may have had their `K` moved out; tracing is only enabled for `Copy`
-/// keys (see [`SkipQueue::with_trace`]), whose bits stay readable until
-/// dealloc.
+/// `node` must be reachable under the caller's pin (nodes keep their keys
+/// until dealloc).
 unsafe fn flat_trace_key<K, V>(key_fn: fn(&K) -> u64, node: *mut Node<K, V>) -> u64 {
     // SAFETY: per contract.
     unsafe {
@@ -291,8 +303,8 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
     type Ctx = NativeCtx;
 
     // The native queue is a multiset (duplicate priorities get fresh
-    // nodes), already holds the victim pointer after the claim, moves
-    // non-`Copy` keys out only once the node is unlinked, and reads stamps
+    // nodes), already holds the victim pointer after the claim, takes the
+    // payload only once the node is unlinked, and reads stamps
     // for free (the `u64::MAX` filter also skips mid-insert nodes and the
     // head sentinel in relaxed mode).
     const DICT_INSERT: bool = false;
@@ -316,10 +328,7 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
         let (key, value) = self.input.take().expect("insert operand staged");
         let height = self.q.next_height();
         self.trace_event(|_| TraceEvent::Height(height));
-        let ikey = IKey::Val(
-            ManuallyDrop::new(key),
-            self.q.seq.fetch_add(1, Ordering::Relaxed),
-        );
+        let ikey = IKey::Val(key, self.q.seq.fetch_add(1, Ordering::Relaxed));
         let node = Node::alloc(ikey, Some(value), height);
         (node, node)
     }
@@ -349,19 +358,19 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
 
     async fn load_next(&self, node: Self::Node, lvl: usize) -> Self::Node {
         // SAFETY: platform contract.
-        unsafe { (*node).next(lvl) }
+        unsafe { Node::next(node, lvl) }
     }
 
     async fn store_next(&self, node: Self::Node, lvl: usize, to: Self::Node) {
         // SAFETY: platform contract; the algorithm holds `node`'s level
         // lock here (locking invariant in the module docs).
-        unsafe { (*node).levels[lvl].next.store(to, Ordering::Release) }
+        unsafe { Node::level(node, lvl).next.store(to, Ordering::Release) }
     }
 
     async fn store_next_init(&self, node: Self::Node, lvl: usize, to: Self::Node) {
         // SAFETY: `node` is unpublished (this insert's own); Relaxed is
         // enough because the publishing store below it is Release.
-        unsafe { (*node).levels[lvl].next.store(to, Ordering::Relaxed) }
+        unsafe { Node::level(node, lvl).next.store(to, Ordering::Relaxed) }
     }
 
     async fn key_lt(&self, node: Self::Node, skey: Self::SearchKey) -> bool {
@@ -376,13 +385,13 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
 
     async fn lock_level(&self, node: Self::Node, lvl: usize) {
         // SAFETY: platform contract.
-        unsafe { (*node).levels[lvl].lock.lock() }
+        unsafe { Node::level(node, lvl).lock.lock() }
     }
 
     async fn unlock_level(&self, node: Self::Node, lvl: usize) {
         // SAFETY: platform contract; the algorithm pairs every unlock with
         // its own earlier lock.
-        unsafe { (*node).levels[lvl].lock.unlock() }
+        unsafe { Node::level(node, lvl).lock.unlock() }
     }
 
     async fn lock_node(&self, node: Self::Node) {
@@ -421,19 +430,23 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
     }
 
     fn note_claim(&self, _ctx: &mut NativeCtx, node: Self::Node) {
-        // SAFETY: we just won the swap; the key has not been moved yet.
+        // SAFETY: we just won the swap; the node is pinned.
         self.trace_event(|cfg| TraceEvent::Claim(unsafe { flat_trace_key(cfg.key_fn, node) }));
     }
 
     async fn take_payload(&self, _ctx: &mut NativeCtx, node: Self::Node) {
+        let clone_key = self.clone_key.expect("delete_min stages a key cloner");
         // SAFETY: we are the unique winner of the `deleted` swap; nobody
-        // else touches key/value (the mark is never cleared).
+        // else touches the value (the mark is never cleared). The key stays
+        // in the node for concurrent readers; the caller gets a clone.
         unsafe {
             let value = (*(*node).value.get())
                 .take()
                 .expect("claimed node has a value");
-            let key = (*node).take_key();
-            self.out.set(Some((key, value)));
+            let IKey::Val(key, _) = &(*node).key else {
+                unreachable!("claimed a sentinel")
+            };
+            self.out.set(Some((clone_key(key), value)));
         }
     }
 
@@ -448,11 +461,11 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
 
     fn debug_check_pred(&self, pred: Self::Node, victim: Self::Node, lvl: usize) {
         // SAFETY: the algorithm holds `pred`'s level lock here.
-        unsafe { debug_assert_eq!((*pred).next(lvl), victim, "pred must point at victim") }
+        unsafe { debug_assert_eq!(Node::next(pred, lvl), victim, "pred must point at victim") }
     }
 
     async fn retire_one(&self, ctx: &NativeCtx, victim: Self::Node, _height: usize) {
-        // SAFETY (trace): victim's key bits remain valid until dealloc.
+        // SAFETY (trace): victim's key remains valid until dealloc.
         self.trace_event(|cfg| TraceEvent::Retire(unsafe { flat_trace_key(cfg.key_fn, victim) }));
         // SAFETY: this caller unlinked `victim` and holds the pin in `ctx`.
         unsafe { self.q.gc.retire(ctx.pin.expect("retire under pin"), victim) };
@@ -563,8 +576,7 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
             TraceEvent::RetireBatch(
                 batch
                     .iter()
-                    // SAFETY: batch members' key bits stay valid until
-                    // dealloc (trace requires `Copy` keys).
+                    // SAFETY: batch members keep their keys until dealloc.
                     .map(|&n| unsafe { flat_trace_key(cfg.key_fn, n) })
                     .collect(),
             )
@@ -591,11 +603,10 @@ impl<K: Ord + Copy, V> PeekPlatform for NativeOp<'_, K, V> {
     type PeekKey = K;
 
     async fn peek_key(&self, node: Self::Node) -> Option<K> {
-        // SAFETY: platform contract; the probed node was unmarked when
-        // inspected, so its key is present.
+        // SAFETY: platform contract; nodes keep their keys until freed.
         unsafe {
             match &(*node).key {
-                IKey::Val(k, _) => Some(**k),
+                IKey::Val(k, _) => Some(*k),
                 _ => None,
             }
         }
@@ -631,7 +642,7 @@ impl<K: Ord, V> SkipQueue<K, V> {
         // SAFETY: freshly allocated, exclusively owned here.
         unsafe {
             for lvl in 0..max_height {
-                (*head).levels[lvl].next.store(tail, Ordering::Relaxed);
+                Node::level(head, lvl).next.store(tail, Ordering::Relaxed);
             }
         }
         Self {
@@ -725,8 +736,11 @@ impl<K: Ord, V> SkipQueue<K, V> {
     /// that completed before this call began, minus already-claimed
     /// deletions (the paper's Definition 1). In relaxed mode a concurrently
     /// inserted smaller entry may be returned instead.
-    pub fn delete_min(&self) -> Option<(K, V)> {
-        let op = NativeOp::new(self);
+    pub fn delete_min(&self) -> Option<(K, V)>
+    where
+        K: Clone,
+    {
+        let op = NativeOp::deleting(self);
         if drive(self.algo().delete_min(&op)) {
             self.len.fetch_sub(1, Ordering::Relaxed);
             Some(op.out.take().expect("winning delete filled the result"))
@@ -744,7 +758,7 @@ impl<K: Ord, V> SkipQueue<K, V> {
             let mut marked = 0usize;
             for lvl in (0..self.max_height).rev() {
                 let mut prev = self.head;
-                let mut cur = (*prev).next(lvl);
+                let mut cur = Node::next(prev, lvl);
                 while cur != self.tail {
                     assert!((*prev).key < (*cur).key, "level {lvl} out of order");
                     assert!((*cur).height() > lvl, "node linked above its height");
@@ -755,10 +769,6 @@ impl<K: Ord, V> SkipQueue<K, V> {
                         assert_ne!(
                             self.unlink_batch, 0,
                             "marked node still linked in quiescent state"
-                        );
-                        assert!(
-                            (*cur).key_taken.load(Ordering::Relaxed),
-                            "deferred node's key not taken"
                         );
                         assert!(
                             (*(*cur).value.get()).is_none(),
@@ -776,7 +786,7 @@ impl<K: Ord, V> SkipQueue<K, V> {
                         );
                     }
                     prev = cur;
-                    cur = (*cur).next(lvl);
+                    cur = Node::next(cur, lvl);
                 }
             }
             assert_eq!(live, self.len(), "len out of sync with bottom level");
@@ -829,6 +839,20 @@ impl<K: Ord, V> SkipQueue<K, V> {
         self
     }
 
+    /// Test seam: records the algorithm's logical decisions (heights,
+    /// claims, stamps, hint traffic, retirements) into `sink`, flattening
+    /// keys through `key_fn`.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn with_trace(
+        mut self,
+        sink: Arc<StdMutex<Vec<TraceEvent>>>,
+        key_fn: fn(&K) -> u64,
+    ) -> Self {
+        self.hooks_mut().trace = Some(TraceCfg { sink, key_fn });
+        self
+    }
+
     /// Mutation seam: re-introduces the PR 3 stale-hint bug (aborted hint
     /// publications leave the previous hint in place). Only for proving the
     /// abort-path tests catch the bug; never set in production.
@@ -861,9 +885,8 @@ impl<K: Ord + Copy, V> SkipQueue<K, V> {
     /// timestamps are deliberately ignored — a probe is not a claim, so
     /// Definition 1 does not apply to it.
     ///
-    /// Requires `K: Copy` for the same reason the batched constructors do:
-    /// the key bytes are read through a shared reference while a winning
-    /// deleter may concurrently move the original out.
+    /// Requires `K: Copy`, like the batched constructors whose sampling
+    /// front-end it serves: the probe returns the key by value.
     pub fn peek_min_key(&self) -> Option<K> {
         let op = NativeOp::new(self);
         drive(self.algo().peek_min_key(&op))
@@ -875,12 +898,9 @@ impl<K: Ord + Copy, V> SkipQueue<K, V> {
     /// prefix in a single sweep and retires it as a group. `threshold = 0`
     /// restores the paper's eager per-delete unlink.
     ///
-    /// Strict-mode ordering (Definition 1) is preserved exactly. Batched
-    /// mode compares a claimed node's key through a bitwise copy after the
-    /// winning deleter has moved the original out, so keys are required to
-    /// be `Copy` — the bound is what keeps heap-owning keys (`String`,
-    /// `Vec<u8>`, …) on the eager default, where the same window never
-    /// reaches a dropped key (see the module docs).
+    /// Strict-mode ordering (Definition 1) is preserved exactly. Keys are
+    /// required to be `Copy`, the integer priorities this mode is built
+    /// and tested for.
     #[must_use]
     pub fn with_unlink_batch(mut self, threshold: usize) -> Self {
         self.unlink_batch = threshold;
@@ -892,24 +912,9 @@ impl<K: Ord + Copy, V> SkipQueue<K, V> {
     pub fn new_batched() -> Self {
         Self::new().with_unlink_batch(DEFAULT_UNLINK_BATCH)
     }
-
-    /// Test seam: records the algorithm's logical decisions (heights,
-    /// claims, stamps, hint traffic, retirements) into `sink`, flattening
-    /// keys through `key_fn`. `Copy` keys only: retired batch members'
-    /// key bits are read after the original was moved out.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn with_trace(
-        mut self,
-        sink: Arc<StdMutex<Vec<TraceEvent>>>,
-        key_fn: fn(&K) -> u64,
-    ) -> Self {
-        self.hooks_mut().trace = Some(TraceCfg { sink, key_fn });
-        self
-    }
 }
 
-impl<K: Ord, V> PriorityQueue<K, V> for SkipQueue<K, V>
+impl<K: Ord + Clone, V> PriorityQueue<K, V> for SkipQueue<K, V>
 where
     K: Send + Sync,
     V: Send,
@@ -927,7 +932,7 @@ where
     }
 }
 
-impl<K: Ord, V> SkipQueue<K, V> {
+impl<K: Ord + Clone, V> SkipQueue<K, V> {
     /// Drains the queue in priority order. Requires exclusive access, so it
     /// observes a quiescent state and returns *everything*.
     pub fn drain_sorted(&mut self) -> Vec<(K, V)> {
@@ -973,9 +978,9 @@ impl<K, V> Drop for SkipQueue<K, V> {
         // bottom level, then the sentinels; the collector's own Drop frees
         // retired nodes.
         unsafe {
-            let mut cur = (*self.head).next(0);
+            let mut cur = Node::next(self.head, 0);
             while cur != self.tail {
-                let next = (*cur).next(0);
+                let next = Node::next(cur, 0);
                 Node::dealloc(cur);
                 cur = next;
             }

@@ -72,10 +72,9 @@ pub enum InsertPolicy {
 /// for the semantics; construction is [`ShardedSkipQueue::new`] for the
 /// defaults or [`ShardedSkipQueue::with_params`] for the full knob set.
 ///
-/// `K: Copy` for the same reason the batched `SkipQueue` constructors
-/// require it (keys are compared through bitwise copies while the original
-/// may concurrently be moved out), plus the sampling probe and elimination
-/// bound both traffic in copied keys.
+/// `K: Copy` because its shards are batched `SkipQueue`s, which require
+/// it, and the sampling probe and elimination array both traffic in
+/// copied keys.
 pub struct ShardedSkipQueue<K: Ord + Copy, V> {
     shards: Box<[CachePadded<SkipQueue<K, V>>]>,
     sample: usize,

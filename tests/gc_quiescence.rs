@@ -96,7 +96,9 @@ fn values_of_reclaimed_nodes_are_dropped_exactly_once() {
 
 #[test]
 fn keys_with_drop_glue_survive_gc() {
-    // String keys exercise take_key()'s ManuallyDrop handling under churn.
+    // String keys: concurrent searchers compare keys of nodes that a
+    // winning delete_min has already unlinked, so nodes must keep their keys
+    // until the collector frees them.
     let q: Arc<SkipQueue<String, u64>> = Arc::new(SkipQueue::new());
     std::thread::scope(|s| {
         for t in 0..4 {
