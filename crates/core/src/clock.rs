@@ -5,6 +5,14 @@
 //! strictly increasing stamps, so "operation A completed before operation B
 //! started" implies `stamp(A) < stamp(B)` — the only property the ordering
 //! argument (Lemma 1) uses.
+//!
+//! A [`SkipQueue`](crate::SkipQueue) has exactly one such clock, owned by
+//! its garbage collector ([`crate::gc`]), as the paper has one `getTime()`.
+//! A call's GC pin ticks it once, and that tick publishes the entry
+//! announcement and serves as the insert's FIFO sequence number and the
+//! strict `delete_min` start time. An insert's time stamp (taken after linking)
+//! and a retirement stamp are further ticks of the same clock, so every
+//! stamp the queue compares is totally ordered with every other.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -13,15 +13,70 @@
 //! itself notes the task "can be split/shared among processors"), and also
 //! opportunistically sweeps lists left behind by exited threads.
 //!
-//! This is a QSBR-style scheme. Entry announcements and deletion stamps come
-//! from one global atomic counter, so they are totally ordered; the pin path
-//! uses a `SeqCst` fence (as in crossbeam-epoch) so a thread's announcement
-//! is visible to any collector that could otherwise free a node the thread
-//! may still reach.
+//! This is a QSBR-style scheme. Entry announcements, deletion stamps *and*
+//! the owning queue's insert stamps all come from one global atomic counter
+//! (the paper's single `getTime()` clock), so they are totally ordered.
+//!
+//! ## One tick per operation
+//!
+//! `Collector::enter` takes one clock tick and returns it in the
+//! `RawGuard`. The tick publishes the slot's entry announcement (below),
+//! and the queue reuses it twice more: as the insert's FIFO tie-break
+//! sequence number (ticks are unique, and an insert that finished before
+//! another began ticked first) and as a strict `delete_min`'s start time,
+//! because the tick is taken after the call began and every insert that
+//! completed before then stamped itself with an earlier tick of the same
+//! clock (Definition 1). A nested pin keeps the outer announcement but
+//! still takes a fresh tick, so sequence numbers stay unique. Two ticks are
+//! deliberately *not* shared: an insert's stamp is taken after linking,
+//! and `Collector::retire_batch` stamps retirements with a fresh tick,
+//! since threads that entered after the retiring thread may still reach
+//! the node until it was unlinked.
+//!
+//! ## Publication without a fence
+//!
+//! Every clock operation is an acquire-release read-modify-write of one
+//! counter, so a tick earlier in the counter's order *happens before* every
+//! later one. A pin stores its announcement — one past the slot's latest
+//! tick, a lower bound of the tick it takes next — and only then ticks. A
+//! collection first ticks (`now`), then reads the announcements, and frees
+//! only nodes retired below `min(now, oldest announcement)`. Take a node
+//! retired at `ts < now` and a thread whose pin (the outer one, if nested)
+//! ticked at `t`:
+//!
+//! * if `t` comes after `ts`, the unlink happened before the pin's tick, so
+//!   the thread's traversal cannot reach the node;
+//! * if `t` comes before `ts`, it also comes before `now`, so the
+//!   announcement (stored before `t`) happened before the collector's reads:
+//!   the collector sees it, or a value written after the thread left (both
+//!   the exit and a later announcement are `Release` stores, read with
+//!   `Acquire`, so the thread's reads happen before the free), and the
+//!   announcement is at most `t < ts`, which keeps the node.
+//!
+//! The same ordering covers the batched scan hint: a cleaner publishes a
+//! new hint before the retirement tick of the batch the old hint points
+//! into. No `SeqCst` fence is needed on either side. The cap at `now` is
+//! also what makes an unpinned `collect` safe: without it, a collector
+//! that finds every slot outside would free a node retired while it scans,
+//! though a thread that pinned after the announcement read and before the
+//! unlink may still hold it.
+//!
+//! Slots are claimed in index order, and a high-water mark of claimed
+//! slots, raised before a slot's first tick, bounds every scan
+//! (horizon, collection, `pending`, the slot re-find) by the threads that
+//! actually used the collector rather than by `max_threads`. If a
+//! collector's read of the mark misses a newly claimed slot, that slot's
+//! first tick came after the collector's `now`, so the first case above
+//! protects its thread.
+//!
+//! Each slot also carries the owning queue's item-count delta for its
+//! thread. Only the owning thread writes it, with a plain load and store
+//! instead of a shared read-modify-write; the queue's `len()` sums the
+//! claimed slots, so it is exact only at quiescence.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicIsize, AtomicU64, AtomicUsize, Ordering};
 
 use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
@@ -35,6 +90,9 @@ const OUTSIDE: u64 = u64::MAX;
 /// Collect the slot's own garbage once it holds this many retired nodes.
 const COLLECT_THRESHOLD: usize = 64;
 
+/// Ways of the per-thread direct slot cache in front of [`SLOT_CACHE`].
+const SLOT_HINT_WAYS: usize = 4;
+
 struct Retired<K, V> {
     ptr: *mut Node<K, V>,
     ts: u64,
@@ -43,17 +101,28 @@ struct Retired<K, V> {
 struct Slot<K, V> {
     /// Stable token of the owning thread; 0 = unclaimed.
     owner: AtomicUsize,
-    /// Entry timestamp, or [`OUTSIDE`].
+    /// Entry announcement (a lower bound of the pin's tick), or
+    /// [`OUTSIDE`].
     entry: AtomicU64,
+    /// The owning queue's item-count delta for this thread: inserts minus
+    /// deletes. Written only by the owning thread; may be negative.
+    len: AtomicIsize,
+    /// The owning thread's latest pin or retirement tick (0 before its
+    /// first). Written only by the owning thread.
+    last_tick: AtomicU64,
     /// Nodes retired by the owning thread, awaiting quiescence.
     garbage: Mutex<Vec<Retired<K, V>>>,
 }
 
 /// The per-queue collector: one announcement slot per thread, plus the
-/// global stamp clock.
+/// global clock that stamps entries, retirements and the owning queue's
+/// inserts.
 pub struct Collector<K, V> {
     id: u64,
     clock: TimestampClock,
+    /// High-water mark of claimed slots: every claimed slot's index is
+    /// below it.
+    claimed: AtomicUsize,
     slots: Box<[CachePadded<Slot<K, V>>]>,
 }
 
@@ -87,6 +156,9 @@ impl<K, V> Drop for Guard<'_, K, V> {
 pub(crate) struct RawGuard {
     slot: usize,
     nested: bool,
+    /// This pin's clock tick, unique even for a nested pin (see the module
+    /// docs for its three uses).
+    pub(crate) tick: u64,
 }
 
 fn collector_ids() -> u64 {
@@ -103,6 +175,12 @@ fn thread_token() -> usize {
 }
 
 thread_local! {
+    /// Direct-mapped (collector id, slot index) cache, indexed by collector
+    /// id. Ids are handed out consecutively, so a thread alternating
+    /// between a few collectors (a sharded queue's shards) hits in
+    /// different ways. Id 0 is never issued and marks an empty way.
+    static SLOT_HINT: [Cell<(u64, usize)>; SLOT_HINT_WAYS] =
+        const { [const { Cell::new((0, 0)) }; SLOT_HINT_WAYS] };
     /// Maps collector id -> claimed slot index, per thread.
     static SLOT_CACHE: RefCell<HashMap<u64, usize>> = RefCell::new(HashMap::new());
 }
@@ -118,6 +196,8 @@ impl<K, V> Collector<K, V> {
                 CachePadded::new(Slot {
                     owner: AtomicUsize::new(0),
                     entry: AtomicU64::new(OUTSIDE),
+                    len: AtomicIsize::new(0),
+                    last_tick: AtomicU64::new(0),
                     garbage: Mutex::new(Vec::new()),
                 })
             })
@@ -126,8 +206,14 @@ impl<K, V> Collector<K, V> {
         Self {
             id: collector_ids(),
             clock: TimestampClock::new(),
+            claimed: AtomicUsize::new(0),
             slots,
         }
+    }
+
+    /// The slots below the high-water mark: every slot a thread has used.
+    fn claimed_slots(&self) -> &[CachePadded<Slot<K, V>>] {
+        &self.slots[..self.claimed.load(Ordering::Acquire)]
     }
 
     fn claim_slot(&self) -> usize {
@@ -135,10 +221,12 @@ impl<K, V> Collector<K, V> {
         // Re-find a slot this thread already owns (cache miss after the
         // thread-local map was dropped, or first touch), else claim a free
         // one.
-        for (i, s) in self.slots.iter().enumerate() {
-            if s.owner.load(Ordering::Relaxed) == token {
-                return i;
-            }
+        if let Some(i) = self
+            .claimed_slots()
+            .iter()
+            .position(|s| s.owner.load(Ordering::Relaxed) == token)
+        {
+            return i;
         }
         for (i, s) in self.slots.iter().enumerate() {
             if s.owner.load(Ordering::Relaxed) == 0
@@ -146,6 +234,9 @@ impl<K, V> Collector<K, V> {
                     .compare_exchange(0, token, Ordering::AcqRel, Ordering::Relaxed)
                     .is_ok()
             {
+                // Raised before this slot's first tick, so a collector
+                // whose `now` follows that tick sees the new mark.
+                self.claimed.fetch_max(i + 1, Ordering::SeqCst);
                 return i;
             }
         }
@@ -157,13 +248,17 @@ impl<K, V> Collector<K, V> {
     }
 
     fn slot_index(&self) -> usize {
-        SLOT_CACHE.with(|c| {
-            let mut map = c.borrow_mut();
-            if let Some(&idx) = map.get(&self.id) {
+        SLOT_HINT.with(|ways| {
+            let way = &ways[self.id as usize % SLOT_HINT_WAYS];
+            let (id, idx) = way.get();
+            if id == self.id {
                 return idx;
             }
-            let idx = self.claim_slot();
-            map.insert(self.id, idx);
+            let idx = SLOT_CACHE.with(|c| {
+                let mut map = c.borrow_mut();
+                *map.entry(self.id).or_insert_with(|| self.claim_slot())
+            });
+            way.set((self.id, idx));
             idx
         })
     }
@@ -183,22 +278,24 @@ impl<K, V> Collector<K, V> {
     pub(crate) fn enter(&self) -> RawGuard {
         let slot_idx = self.slot_index();
         let slot = &self.slots[slot_idx];
-        if slot.entry.load(Ordering::Relaxed) != OUTSIDE {
-            // Already pinned by an outer operation on this thread: keep the
-            // older (more conservative) announcement.
-            return RawGuard {
-                slot: slot_idx,
-                nested: true,
-            };
+        // Already pinned by an outer operation on this thread: keep the
+        // older (more conservative) announcement.
+        let nested = slot.entry.load(Ordering::Relaxed) != OUTSIDE;
+        if !nested {
+            // Announce a lower bound of the tick taken next: every tick
+            // after this slot's latest one is larger. The tick publishes it
+            // (see "Publication without a fence" in the module docs).
+            let bound = slot.last_tick.load(Ordering::Relaxed) + 1;
+            // Release, like `exit`: a collector that reads this value also
+            // sees this thread's earlier pins as finished.
+            slot.entry.store(bound, Ordering::Release);
         }
-        let t = self.clock.tick();
-        slot.entry.store(t, Ordering::SeqCst);
-        // Make the announcement visible before any pointer into the
-        // structure is read (crossbeam-epoch-style publication fence).
-        fence(Ordering::SeqCst);
+        let tick = self.clock.tick();
+        slot.last_tick.store(tick, Ordering::Relaxed);
         RawGuard {
             slot: slot_idx,
-            nested: false,
+            nested,
+            tick,
         }
     }
 
@@ -208,6 +305,28 @@ impl<K, V> Collector<K, V> {
         if !g.nested {
             self.slots[g.slot].entry.store(OUTSIDE, Ordering::Release);
         }
+    }
+
+    /// A fresh tick of the shared clock (an insert's stamp).
+    pub(crate) fn tick(&self) -> u64 {
+        self.clock.tick()
+    }
+
+    /// Adds `delta` to the item count of `g`'s slot. Only the owning thread
+    /// writes a slot's count, so a load and a store replace a shared
+    /// read-modify-write.
+    pub(crate) fn add_len(&self, g: RawGuard, delta: isize) {
+        let len = &self.slots[g.slot].len;
+        len.store(len.load(Ordering::Relaxed) + delta, Ordering::Relaxed);
+    }
+
+    /// The sum of every slot's item count: exact once no operation is in
+    /// flight, and possibly negative while one is.
+    pub(crate) fn len(&self) -> isize {
+        self.claimed_slots()
+            .iter()
+            .map(|s| s.len.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Retires an unlinked node: it will be freed once every thread that was
@@ -232,6 +351,9 @@ impl<K, V> Collector<K, V> {
     /// group becomes reclaimable atomically — once every thread that was
     /// inside the structure at this moment has exited.
     ///
+    /// The stamp is a fresh tick, not `g.tick`: a thread that entered after
+    /// us but before the unlink may still reach the nodes.
+    ///
     /// # Safety
     ///
     /// Every pointer must satisfy the [`Collector::retire`] contract.
@@ -241,33 +363,44 @@ impl<K, V> Collector<K, V> {
     {
         let ts = self.clock.tick();
         let slot = &self.slots[g.slot];
+        slot.last_tick.store(ts, Ordering::Relaxed);
         let run_collect = {
             let mut g = slot.garbage.lock();
             g.extend(ptrs.into_iter().map(|ptr| Retired { ptr, ts }));
             g.len() >= COLLECT_THRESHOLD
         };
         if run_collect {
-            self.collect();
+            self.free_below(self.horizon(ts));
         }
     }
 
-    /// The oldest entry announcement across all claimed slots.
+    /// The oldest entry announcement across the claimed slots.
     fn min_entry(&self) -> u64 {
-        fence(Ordering::SeqCst);
-        self.slots
+        self.claimed_slots()
             .iter()
-            .filter(|s| s.owner.load(Ordering::Relaxed) != 0)
-            .map(|s| s.entry.load(Ordering::SeqCst))
+            .map(|s| s.entry.load(Ordering::Acquire))
             .min()
             .unwrap_or(OUTSIDE)
     }
 
+    /// The reclamation horizon: the oldest announcement, capped at `now`, a
+    /// tick taken before this call. A node stamped below the result can no
+    /// longer be reached by any thread (see the module docs).
+    fn horizon(&self, now: u64) -> u64 {
+        now.min(self.min_entry())
+    }
+
     /// Frees every retired node older than the oldest announcement, across
-    /// all slots (so garbage from exited threads is swept too).
+    /// all slots (so garbage from exited threads is swept too). Safe to call
+    /// pinned or not.
     pub fn collect(&self) -> usize {
-        let horizon = self.min_entry();
+        self.free_below(self.horizon(self.clock.tick()))
+    }
+
+    /// Frees every retired node stamped below `horizon`.
+    fn free_below(&self, horizon: u64) -> usize {
         let mut freed = 0;
-        for s in self.slots.iter() {
+        for s in self.claimed_slots() {
             // Skip slots another thread is concurrently collecting.
             let Some(mut g) = s.garbage.try_lock() else {
                 continue;
@@ -290,13 +423,16 @@ impl<K, V> Collector<K, V> {
 
     /// Number of retired-but-not-yet-freed nodes (diagnostics).
     pub fn pending(&self) -> usize {
-        self.slots.iter().map(|s| s.garbage.lock().len()).sum()
+        self.claimed_slots()
+            .iter()
+            .map(|s| s.garbage.lock().len())
+            .sum()
     }
 
     /// Frees all remaining garbage unconditionally. Requires `&mut self`:
     /// exclusive access proves no thread is inside the structure.
     pub fn flush_all(&mut self) {
-        for s in self.slots.iter() {
+        for s in self.claimed_slots() {
             let mut g = s.garbage.lock();
             for r in g.drain(..) {
                 // SAFETY: exclusive access to the collector (and therefore
@@ -304,6 +440,17 @@ impl<K, V> Collector<K, V> {
                 unsafe { Node::dealloc(r.ptr) };
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl<K, V> Collector<K, V> {
+    /// Each claimed slot's item count, in slot order.
+    pub(crate) fn slot_lens(&self) -> Vec<isize> {
+        self.claimed_slots()
+            .iter()
+            .map(|s| s.len.load(Ordering::Relaxed))
+            .collect()
     }
 }
 
@@ -372,6 +519,108 @@ mod tests {
         // Pin *after* the retirement: the entry is newer than the stamp.
         let _g = c.pin();
         assert_eq!(c.collect(), 1);
+    }
+
+    #[test]
+    fn unpinned_horizon_does_not_free_later_retirements() {
+        let c: Collector<u64, u64> = Collector::new(4);
+        // Nobody is pinned, so every announcement reads outside; the
+        // horizon must still stop at the tick taken before the read.
+        let horizon = c.horizon(c.clock.tick());
+        {
+            // A worker enters and retires a node while that scan runs.
+            let g = c.pin();
+            unsafe { c.retire(g.raw, mknode(4)) };
+        }
+        assert_eq!(
+            c.free_below(horizon),
+            0,
+            "freed a node retired after the horizon"
+        );
+        assert_eq!(c.pending(), 1);
+        assert_eq!(c.collect(), 1);
+    }
+
+    #[test]
+    fn slot_claimed_above_high_water_mark_blocks_reclamation() {
+        let c: Collector<u64, u64> = Collector::new(8);
+        drop(c.pin());
+        assert_eq!(c.claimed.load(Ordering::Relaxed), 1);
+        std::thread::scope(|s| {
+            let (tx, rx) = std::sync::mpsc::channel::<()>();
+            let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+            let c2 = &c;
+            s.spawn(move || {
+                // First pin on this thread: claims slot 1, above the mark.
+                let _g = c2.pin();
+                tx.send(()).unwrap();
+                done_rx.recv().unwrap();
+            });
+            rx.recv().unwrap();
+            assert_eq!(c.claimed.load(Ordering::Relaxed), 2);
+            {
+                let g = c.pin();
+                unsafe { c.retire(g.raw, mknode(5)) };
+            }
+            assert_eq!(c.collect(), 0, "the new slot's pin predates the retirement");
+            done_tx.send(()).unwrap();
+        });
+        assert_eq!(c.collect(), 1);
+    }
+
+    #[test]
+    fn slot_hint_holds_alternating_collectors() {
+        let a: Collector<u64, u64> = Collector::new(2);
+        // Ids are consecutive unless a concurrent test took one in between.
+        let b: Collector<u64, u64> = std::iter::repeat_with(|| Collector::new(2))
+            .find(|b| b.id % SLOT_HINT_WAYS as u64 != a.id % SLOT_HINT_WAYS as u64)
+            .unwrap();
+        for _ in 0..3 {
+            drop(a.pin());
+            drop(b.pin());
+        }
+        let cached = |c: &Collector<u64, u64>| {
+            SLOT_HINT.with(|ways| ways[c.id as usize % SLOT_HINT_WAYS].get() == (c.id, 0))
+        };
+        assert!(
+            cached(&a) && cached(&b),
+            "alternating collectors evict each other"
+        );
+    }
+
+    #[test]
+    fn pins_announce_one_past_the_slots_latest_tick() {
+        let c: Collector<u64, u64> = Collector::new(2);
+        let entry = |g: RawGuard| c.slots[g.slot].entry.load(Ordering::Relaxed);
+        let first = c.enter();
+        assert_eq!(entry(first), 1, "no earlier tick on this slot");
+        c.exit(first);
+        let second = c.enter();
+        assert_eq!(entry(second), first.tick + 1);
+        assert!(second.tick >= entry(second));
+        unsafe { c.retire(second, mknode(6)) };
+        c.exit(second);
+        assert_eq!(entry(second), OUTSIDE);
+        // The retirement tick counts too: the next pin cannot block it.
+        let third = c.enter();
+        assert!(entry(third) > second.tick + 1);
+        assert_eq!(c.collect(), 1);
+        c.exit(third);
+    }
+
+    #[test]
+    fn nested_pins_take_unique_ticks_and_keep_the_outer_entry() {
+        let c: Collector<u64, u64> = Collector::new(2);
+        let entry = |g: RawGuard| c.slots[g.slot].entry.load(Ordering::Relaxed);
+        let outer = c.enter();
+        let announced = entry(outer);
+        let inner = c.enter();
+        assert!(inner.tick > outer.tick);
+        assert_eq!(entry(inner), announced);
+        c.exit(inner);
+        assert_eq!(entry(outer), announced, "nested exit retracted the pin");
+        c.exit(outer);
+        assert_eq!(entry(outer), OUTSIDE);
     }
 
     #[test]

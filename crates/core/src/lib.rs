@@ -53,8 +53,10 @@
 //!   *updates* it. A general-purpose priority queue must admit duplicate
 //!   priorities, so `SkipQueue` totally orders entries by `(key, unique
 //!   sequence number)`: every insert adds a node and equal priorities come
-//!   out in insertion order. This also gives the physical-delete search an
-//!   exact identity to look for.
+//!   out in insertion order. The sequence number is the clock tick the
+//!   insert's GC pin already takes (see [`gc`]), so it costs nothing extra.
+//!   This also gives the physical-delete search an exact identity to look
+//!   for.
 //! * `getTime()` is a shared hardware clock on Alewife; here it is a global
 //!   atomic counter whose `fetch_add` gives unique, totally ordered stamps,
 //!   which is exactly the property Lemma 1 needs.

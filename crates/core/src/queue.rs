@@ -61,7 +61,7 @@
 
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicIsize, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicIsize, AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex as StdMutex};
 use std::task::{Context, Poll, Waker};
 
@@ -71,7 +71,6 @@ use parking_lot::RawMutex;
 
 use pqalgo::{CleanupPhase, InsertResult, PeekPlatform, Platform, SkipAlgo, TraceEvent};
 
-use crate::clock::TimestampClock;
 use crate::gc::{Collector, RawGuard};
 use crate::node::{IKey, Node, MAX_HEIGHT};
 use crate::pq::PriorityQueue;
@@ -95,12 +94,6 @@ const MAX_BATCH: usize = 512;
 pub struct SkipQueue<K, V> {
     head: *mut Node<K, V>,
     tail: *mut Node<K, V>,
-    /// Self-padded to its own cache line(s); see [`TimestampClock`].
-    clock: TimestampClock,
-    /// Insert sequence counter; padded so insert traffic does not false-share
-    /// with `len` (bumped by every delete) or the clock.
-    seq: CachePadded<AtomicU64>,
-    len: CachePadded<AtomicUsize>,
     /// Claimed-but-still-linked nodes awaiting a batched physical delete.
     /// Signed because a claimer marks its node (making it collectible)
     /// *before* counting it here, so a concurrent sweep can subtract a
@@ -114,10 +107,10 @@ pub struct SkipQueue<K, V> {
     /// Bottom-level scan-start hint: the first node a `delete_min` walk may
     /// need to look at (null ⇒ start at `head.next(0)`). Everything
     /// physically before it is marked. Published by the cleaner *before*
-    /// the batch it covers is retired, always with `SeqCst`, which (with the
-    /// `SeqCst` pin in [`crate::gc`]) is what makes dereferencing a loaded
-    /// hint sound: a thread whose pin is recent enough to allow the hint's
-    /// target to be freed is guaranteed to load the newer hint value.
+    /// the batch it covers is retired (always with `SeqCst`), which, by the
+    /// clock-order argument in [`crate::gc`], is what makes dereferencing a
+    /// loaded hint sound: a thread whose pin is recent enough to allow the
+    /// hint's target to be freed is guaranteed to load the newer hint value.
     front: CachePadded<AtomicPtr<Node<K, V>>>,
     /// Bumped (`SeqCst`) by every insert after linking, before stamping.
     /// The cleaner publishes a hint only if this is unchanged across its
@@ -135,6 +128,13 @@ pub struct SkipQueue<K, V> {
     /// Claimed-node count that triggers a batched physical delete;
     /// 0 = eager (the paper's per-delete Pugh unlink).
     unlink_batch: usize,
+    /// The quiescence collector, which also owns the queue's only clock
+    /// (the paper's `getTime()`). Each call's GC pin takes one tick that
+    /// doubles as the insert's FIFO sequence number and as the strict
+    /// `delete_min` start time; an insert's stamp is a second tick taken
+    /// after linking, and retirements take their own (see [`crate::gc`]).
+    /// Its per-thread slots also hold the item counts that
+    /// [`SkipQueue::len`] sums, so no shared counter is written per call.
     gc: Collector<K, V>,
     /// Test-only seams (height scripting, decision tracing, cleaner phase
     /// hooks); `None` in production, so the fast paths pay one branch.
@@ -222,16 +222,13 @@ fn drive<F: std::future::Future>(fut: F) -> F::Output {
     }
 }
 
-/// Per-operation state for the native platform: the GC pin token.
-struct NativeCtx {
-    pin: Option<RawGuard>,
-}
-
 /// The native [`Platform`]: one is stack-allocated per public-API call.
 /// Operands go in through `input` before the algorithm runs; results come
 /// back out of `out` after it returns (key/value ownership never crosses
 /// the platform trait). A `delete_min` op also carries `clone_key`: the
 /// node keeps its key until it is freed, so the winner returns a clone.
+/// The GC pin lives here rather than in the algorithm's context because
+/// `insert_prepare` reads its tick as the FIFO sequence number.
 ///
 /// SAFETY (for every raw dereference below): the algorithm only hands back
 /// node handles it reached between this platform's `enter`/`exit` hooks,
@@ -243,6 +240,9 @@ struct NativeOp<'q, K, V> {
     input: Cell<Option<(K, V)>>,
     out: Cell<Option<(K, V)>>,
     clone_key: Option<fn(&K) -> K>,
+    /// Set by the `enter` hook and kept after `exit`, so the caller can
+    /// count the finished operation in its slot.
+    pin: Cell<Option<RawGuard>>,
 }
 
 impl<'q, K: Ord, V> NativeOp<'q, K, V> {
@@ -252,7 +252,13 @@ impl<'q, K: Ord, V> NativeOp<'q, K, V> {
             input: Cell::new(None),
             out: Cell::new(None),
             clone_key: None,
+            pin: Cell::new(None),
         }
+    }
+
+    /// The operation's GC pin (set by the `enter` hook).
+    fn guard(&self) -> RawGuard {
+        self.pin.get().expect("operation is pinned")
     }
 
     /// An op that may claim a node and return its key.
@@ -300,7 +306,7 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
     // sequence number) lives inside the new/victim node.
     type SearchKey = *mut Node<K, V>;
     type Prep = *mut Node<K, V>;
-    type Ctx = NativeCtx;
+    type Ctx = ();
 
     // The native queue is a multiset (duplicate priorities get fresh
     // nodes), already holds the victim pointer after the claim, takes the
@@ -312,23 +318,23 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
     const EAGER_PAYLOAD_FIRST: bool = false;
     const RELAXED_CLAIM_READS_STAMP: bool = true;
 
-    fn op_begin(&self) -> NativeCtx {
-        NativeCtx { pin: None }
+    fn op_begin(&self) {}
+
+    async fn enter(&self, _ctx: &mut ()) {
+        self.pin.set(Some(self.q.gc.enter()));
     }
 
-    async fn enter(&self, ctx: &mut NativeCtx) {
-        ctx.pin = Some(self.q.gc.enter());
-    }
-
-    async fn exit(&self, ctx: &mut NativeCtx) {
-        self.q.gc.exit(ctx.pin.take().expect("exit without enter"));
+    async fn exit(&self, _ctx: &mut ()) {
+        self.q.gc.exit(self.guard());
     }
 
     fn insert_prepare(&self) -> (Self::SearchKey, Self::Prep) {
         let (key, value) = self.input.take().expect("insert operand staged");
         let height = self.q.next_height();
         self.trace_event(|_| TraceEvent::Height(height));
-        let ikey = IKey::Val(key, self.q.seq.fetch_add(1, Ordering::Relaxed));
+        // The pin's tick is unique, and an insert that finished before this
+        // one began ticked first, so equal priorities leave in FIFO order.
+        let ikey = IKey::Val(key, self.guard().tick);
         let node = Node::alloc(ikey, Some(value), height);
         (node, node)
     }
@@ -343,18 +349,16 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
         unreachable!("native insert is multiset (DICT_INSERT = false)");
     }
 
-    async fn store_stamp(&self, _ctx: &NativeCtx, node: Self::Node) {
+    async fn store_stamp(&self, _ctx: &(), node: Self::Node) {
+        // A fresh tick, taken after linking: a delete whose pin ticked
+        // later is guaranteed to see the node (Definition 1).
         // SAFETY: module-level platform contract (pinned node).
-        unsafe {
-            (*node)
-                .timestamp
-                .store(self.q.clock.tick(), Ordering::Release);
-        }
+        unsafe { (*node).timestamp.store(self.q.gc.tick(), Ordering::Release) }
         // SAFETY: node is this insert's own, fully linked, key present.
         self.trace_event(|cfg| TraceEvent::Stamp(unsafe { flat_trace_key(cfg.key_fn, node) }));
     }
 
-    fn record_insert(&self, _ctx: &NativeCtx, _node: Self::Node) {}
+    fn record_insert(&self, _ctx: &(), _node: Self::Node) {}
 
     async fn load_next(&self, node: Self::Node, lvl: usize) -> Self::Node {
         // SAFETY: platform contract.
@@ -404,11 +408,13 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
         unsafe { (*node).node_lock.unlock() }
     }
 
-    async fn delete_read_clock(&self, _ctx: &mut NativeCtx) -> u64 {
-        self.q.clock.tick()
+    async fn delete_read_clock(&self, _ctx: &mut ()) -> u64 {
+        // The pin's tick was taken after this call began, from the clock
+        // every insert stamps itself with.
+        self.guard().tick
     }
 
-    fn relaxed_delete_time(&self, _ctx: &mut NativeCtx) -> u64 {
+    fn relaxed_delete_time(&self, _ctx: &mut ()) -> u64 {
         // "Consider everything" — but the stamp read this bound is compared
         // against still filters `u64::MAX` (mid-insert nodes and the head).
         u64::MAX
@@ -429,12 +435,12 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
         unsafe { (*node).deleted.swap(true, Ordering::AcqRel) }
     }
 
-    fn note_claim(&self, _ctx: &mut NativeCtx, node: Self::Node) {
+    fn note_claim(&self, _ctx: &mut (), node: Self::Node) {
         // SAFETY: we just won the swap; the node is pinned.
         self.trace_event(|cfg| TraceEvent::Claim(unsafe { flat_trace_key(cfg.key_fn, node) }));
     }
 
-    async fn take_payload(&self, _ctx: &mut NativeCtx, node: Self::Node) {
+    async fn take_payload(&self, _ctx: &mut (), node: Self::Node) {
         let clone_key = self.clone_key.expect("delete_min stages a key cloner");
         // SAFETY: we are the unique winner of the `deleted` swap; nobody
         // else touches the value (the mark is never cleared). The key stays
@@ -450,7 +456,7 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
         }
     }
 
-    fn victim_search_key(&self, _ctx: &NativeCtx, victim: Self::Node) -> Self::SearchKey {
+    fn victim_search_key(&self, _ctx: &(), victim: Self::Node) -> Self::SearchKey {
         victim
     }
 
@@ -464,16 +470,16 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
         unsafe { debug_assert_eq!(Node::next(pred, lvl), victim, "pred must point at victim") }
     }
 
-    async fn retire_one(&self, ctx: &NativeCtx, victim: Self::Node, _height: usize) {
+    async fn retire_one(&self, _ctx: &(), victim: Self::Node, _height: usize) {
         // SAFETY (trace): victim's key remains valid until dealloc.
         self.trace_event(|cfg| TraceEvent::Retire(unsafe { flat_trace_key(cfg.key_fn, victim) }));
-        // SAFETY: this caller unlinked `victim` and holds the pin in `ctx`.
-        unsafe { self.q.gc.retire(ctx.pin.expect("retire under pin"), victim) };
+        // SAFETY: this caller unlinked `victim` and holds the pin.
+        unsafe { self.q.gc.retire(self.guard(), victim) };
     }
 
-    fn record_delete(&self, _ctx: &NativeCtx) {}
+    fn record_delete(&self, _ctx: &()) {}
 
-    fn record_delete_empty(&self, _ctx: &NativeCtx) {}
+    fn record_delete_empty(&self, _ctx: &()) {}
 
     fn deferred_push(&self, _node: Self::Node) -> bool {
         self.q.deferred.fetch_add(1, Ordering::AcqRel) + 1 >= self.q.unlink_batch as isize
@@ -566,12 +572,7 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
         unsafe { (*node).in_unlink_batch.load(Ordering::Relaxed) }
     }
 
-    async fn retire_unlinked_batch(
-        &self,
-        ctx: &NativeCtx,
-        batch: Vec<Self::Node>,
-        _heights: &[usize],
-    ) {
+    async fn retire_unlinked_batch(&self, _ctx: &(), batch: Vec<Self::Node>, _heights: &[usize]) {
         self.trace_event(|cfg| {
             TraceEvent::RetireBatch(
                 batch
@@ -584,12 +585,8 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
         self.q
             .deferred
             .fetch_sub(batch.len() as isize, Ordering::AcqRel);
-        // SAFETY: the cleaner unlinked every member; pin held in `ctx`.
-        unsafe {
-            self.q
-                .gc
-                .retire_batch(ctx.pin.expect("retire under pin"), batch)
-        };
+        // SAFETY: the cleaner unlinked every member and holds the pin.
+        unsafe { self.q.gc.retire_batch(self.guard(), batch) };
     }
 
     fn phase_hook(&self, phase: CleanupPhase) {
@@ -648,9 +645,6 @@ impl<K: Ord, V> SkipQueue<K, V> {
         Self {
             head,
             tail,
-            clock: TimestampClock::new(),
-            seq: CachePadded::new(AtomicU64::new(0)),
-            len: CachePadded::new(AtomicUsize::new(0)),
             deferred: CachePadded::new(AtomicIsize::new(0)),
             cleaner: CachePadded::new(RawMutex::INIT),
             front: CachePadded::new(AtomicPtr::new(std::ptr::null_mut())),
@@ -665,9 +659,13 @@ impl<K: Ord, V> SkipQueue<K, V> {
         }
     }
 
-    /// Approximate number of items (exact when no operations are in flight).
+    /// Approximate number of items: the sum of per-thread counts that each
+    /// thread updates without a shared read-modify-write. Exact when no
+    /// operations are in flight; while some are, an insert counted on one
+    /// thread and its delete on another can be seen in either order, so the
+    /// sum may momentarily be off (never below zero).
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.gc.len().max(0) as usize
     }
 
     /// True when [`SkipQueue::len`] is zero.
@@ -726,7 +724,7 @@ impl<K: Ord, V> SkipQueue<K, V> {
         op.input.set(Some((key, value)));
         let res = drive(self.algo().insert(&op));
         debug_assert_eq!(res, InsertResult::Inserted);
-        self.len.fetch_add(1, Ordering::Relaxed);
+        self.gc.add_len(op.guard(), 1);
     }
 
     /// Removes and returns the minimum entry (Figure 11), or `None` if no
@@ -742,7 +740,7 @@ impl<K: Ord, V> SkipQueue<K, V> {
     {
         let op = NativeOp::deleting(self);
         if drive(self.algo().delete_min(&op)) {
-            self.len.fetch_sub(1, Ordering::Relaxed);
+            self.gc.add_len(op.guard(), -1);
             Some(op.out.take().expect("winning delete filled the result"))
         } else {
             None
@@ -799,6 +797,8 @@ impl<K: Ord, V> SkipQueue<K, V> {
     }
 
     /// Forces a garbage-collection cycle; returns the number of nodes freed.
+    /// Safe to call from any thread, pinned or not: the horizon is capped at
+    /// a clock tick taken before the scan (see [`crate::gc`]).
     pub fn collect_garbage(&self) -> usize {
         self.gc.collect()
     }
@@ -947,7 +947,7 @@ impl<K: Ord + Clone, V> SkipQueue<K, V> {
 impl<K, V> std::fmt::Debug for SkipQueue<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SkipQueue")
-            .field("len", &self.len.load(Ordering::Relaxed))
+            .field("len", &self.gc.len())
             .field("max_height", &self.max_height)
             .field("strict", &self.strict)
             .field("unlink_batch", &self.unlink_batch)
@@ -1030,6 +1030,41 @@ mod tests {
         assert_eq!(q.delete_min(), Some((1, "a")));
         assert_eq!(q.delete_min(), Some((1, "b")));
         assert_eq!(q.delete_min(), Some((1, "c")));
+    }
+
+    #[test]
+    fn duplicate_priorities_fifo_across_threads() {
+        // Thread A's insert finishes before thread B's begins, so A's pin
+        // ticked first and its entry must leave first.
+        let q = SkipQueue::new();
+        for round in 0..20u64 {
+            for who in ["a", "b", "c"] {
+                std::thread::scope(|s| {
+                    s.spawn(|| q.insert(round, who));
+                });
+            }
+        }
+        for round in 0..20u64 {
+            for who in ["a", "b", "c"] {
+                assert_eq!(q.delete_min(), Some((round, who)));
+            }
+        }
+    }
+
+    #[test]
+    fn len_is_exact_when_inserts_and_deletes_run_on_different_threads() {
+        let mut q: SkipQueue<u64, u64> = SkipQueue::new();
+        std::thread::scope(|s| {
+            s.spawn(|| (0..100).for_each(|k| q.insert(k, k)));
+        });
+        std::thread::scope(|s| {
+            s.spawn(|| (0..40).for_each(|_| assert!(q.delete_min().is_some())));
+        });
+        // The deleting thread's own count went negative; only the sum is
+        // meaningful.
+        assert_eq!(q.gc.slot_lens(), vec![100, -40]);
+        assert_eq!(q.len(), 60);
+        q.check_invariants();
     }
 
     #[test]
