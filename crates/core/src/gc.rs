@@ -29,7 +29,7 @@
 //! clock (Definition 1). A nested pin keeps the outer announcement but
 //! still takes a fresh tick, so sequence numbers stay unique. Two ticks are
 //! deliberately *not* shared: an insert's stamp is taken after linking,
-//! and `Collector::retire_batch` stamps retirements with a fresh tick,
+//! and `Collector::retire` stamps retirements with a fresh tick,
 //! since threads that entered after the retiring thread may still reach
 //! the node until it was unlinked.
 //!
@@ -53,9 +53,7 @@
 //!   `Acquire`, so the thread's reads happen before the free), and the
 //!   announcement is at most `t < ts`, which keeps the node.
 //!
-//! The same ordering covers the batched scan hint: a cleaner publishes a
-//! new hint before the retirement tick of the batch the old hint points
-//! into. No `SeqCst` fence is needed on either side. The cap at `now` is
+//! No `SeqCst` fence is needed on either side. The cap at `now` is
 //! also what makes an unpinned `collect` safe: without it, a collector
 //! that finds every slot outside would free a node retired while it scans,
 //! though a thread that pinned after the announcement read and before the
@@ -148,10 +146,11 @@ impl<K, V> Drop for Guard<'_, K, V> {
 /// algorithm layer registers entry/exit explicitly (the paper's §3 registry
 /// writes), so the native platform cannot use a borrow-carrying guard.
 ///
-/// `nested` marks a re-entrant pin on an already-pinned thread (a test
-/// phase hook injecting an insert from inside a cleanup sweep): the outer,
-/// older announcement is kept and the nested exit is a no-op, so the outer
-/// pin's protection is never retracted early.
+/// `nested` marks a re-entrant pin on an already-pinned thread: the public
+/// [`Collector::pin`] may be called while a guard from an earlier call is
+/// still alive, and both share this path. The outer, older announcement is
+/// kept and the nested exit is a no-op, so the outer pin's protection is
+/// never retracted early.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct RawGuard {
     slot: usize,
@@ -332,6 +331,9 @@ impl<K, V> Collector<K, V> {
     /// Retires an unlinked node: it will be freed once every thread that was
     /// inside the structure at this moment has exited.
     ///
+    /// The stamp is a fresh tick, not `g.tick`: a thread that entered after
+    /// us but before the unlink may still reach the node.
+    ///
     /// # Safety
     ///
     /// `ptr` must be a fully unlinked node from the owning queue, retired at
@@ -340,33 +342,12 @@ impl<K, V> Collector<K, V> {
     /// rule waits out). The calling thread must currently be entered with
     /// `g`.
     pub(crate) unsafe fn retire(&self, g: RawGuard, ptr: *mut Node<K, V>) {
-        // SAFETY: forwarded contract.
-        unsafe { self.retire_batch(g, std::iter::once(ptr)) }
-    }
-
-    /// Retires a whole group of unlinked nodes as one unit: a single
-    /// deletion stamp covers the group and the slot's garbage lock is taken
-    /// once, so a batched physical delete amortizes the retirement
-    /// bookkeeping the same way it amortizes the unlinking itself. The
-    /// group becomes reclaimable atomically — once every thread that was
-    /// inside the structure at this moment has exited.
-    ///
-    /// The stamp is a fresh tick, not `g.tick`: a thread that entered after
-    /// us but before the unlink may still reach the nodes.
-    ///
-    /// # Safety
-    ///
-    /// Every pointer must satisfy the [`Collector::retire`] contract.
-    pub(crate) unsafe fn retire_batch<I>(&self, g: RawGuard, ptrs: I)
-    where
-        I: IntoIterator<Item = *mut Node<K, V>>,
-    {
         let ts = self.clock.tick();
         let slot = &self.slots[g.slot];
         slot.last_tick.store(ts, Ordering::Relaxed);
         let run_collect = {
             let mut g = slot.garbage.lock();
-            g.extend(ptrs.into_iter().map(|ptr| Retired { ptr, ts }));
+            g.push(Retired { ptr, ts });
             g.len() >= COLLECT_THRESHOLD
         };
         if run_collect {

@@ -60,18 +60,12 @@
 //! * `getTime()` is a shared hardware clock on Alewife; here it is a global
 //!   atomic counter whose `fetch_add` gives unique, totally ordered stamps,
 //!   which is exactly the property Lemma 1 needs.
-//! * Opt-in **batched physical deletion** ([`SkipQueue::with_unlink_batch`]):
-//!   `delete_min` winners leave the marked node linked and a single thread
-//!   periodically unlinks the whole claimed prefix in one sweep, with a
-//!   scan-start hint so later deletes skip the dead prefix. Claim order and
-//!   time-stamp placement are unchanged, so strict semantics are identical;
-//!   the default remains the paper's eager per-delete unlink.
 //!
 //! ## One algorithm, two runtimes
 //!
-//! The algorithm itself — Figures 9–11, the relaxed variant, the batched
-//! cleaner — lives in the shared [`pqalgo`] crate, parameterized over a
-//! `Platform` of memory/lock/clock/GC hooks. This crate supplies the native
+//! The algorithm itself — Figures 9–11 and the relaxed variant — lives
+//! in the shared [`pqalgo`] crate, parameterized over a `Platform` of
+//! memory/lock/clock/GC hooks. This crate supplies the native
 //! platform (std atomics + `parking_lot`, driven synchronously by a single
 //! poll); the `simpq` crate instantiates the *same* algorithm on the
 //! simulated multiprocessor, where every hook is a charged machine
@@ -89,9 +83,9 @@ pub mod seq;
 
 pub use clock::TimestampClock;
 pub use pq::PriorityQueue;
-pub use queue::{SkipQueue, DEFAULT_UNLINK_BATCH};
+pub use queue::SkipQueue;
 
-// Shared-algorithm types surfaced for the cross-runtime differential tests
-// (the phase-hook and decision-trace seams on `SkipQueue` speak them).
+// Shared-algorithm type surfaced for the cross-runtime differential tests
+// (the decision-trace seam on `SkipQueue` speaks it).
 #[doc(hidden)]
-pub use pqalgo::{CleanupPhase, TraceEvent};
+pub use pqalgo::TraceEvent;

@@ -121,12 +121,6 @@ pub(crate) struct Node<K, V> {
     pub value: UnsafeCell<Option<V>>,
     /// The logical-deletion mark, claimed with an atomic swap.
     pub deleted: AtomicBool,
-    /// Membership mark for the batched physical delete: set by the cleaner
-    /// (under the queue's cleaner lock) when it collects this node into an
-    /// unlink batch, so the per-level sweep can tell batch members from
-    /// nodes claimed after collection. Only the cleaner reads or writes it
-    /// while the node is linked.
-    pub in_unlink_batch: AtomicBool,
     /// Serializes whole-node phases: held for the full linking of an insert
     /// and for the full unlinking of a delete.
     pub node_lock: RawMutex,
@@ -171,7 +165,6 @@ impl<K, V> Node<K, V> {
                 timestamp: AtomicU64::new(u64::MAX),
                 value: UnsafeCell::new(value),
                 deleted: AtomicBool::new(false),
-                in_unlink_batch: AtomicBool::new(false),
                 node_lock: RawMutex::INIT,
                 height: height as u8,
             });

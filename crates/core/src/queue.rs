@@ -1,8 +1,8 @@
 //! The concurrent SkipQueue (Lotan & Shavit, IPDPS 2000) — native runtime.
 //!
-//! The algorithm itself (Figures 9–11, §3, §5.4, and the batched
-//! physical-deletion departure) lives in the shared [`pqalgo`] crate,
-//! written once as `async` control flow over [`pqalgo::Platform`] hooks.
+//! The algorithm itself (Figures 9–11, §3, §5.4) lives in the shared
+//! [`pqalgo`] crate, written once as `async` control flow over
+//! [`pqalgo::Platform`] hooks.
 //! This module supplies the **native platform**: nodes are raw pointers,
 //! `load_next`/`store_next` are `Acquire`/`Release` atomics, the level and
 //! node locks are `parking_lot::RawMutex`, and GC registration is the
@@ -25,33 +25,13 @@
 //!   at its predecessor so concurrent traversals escape gracefully.
 //! * Unlinked nodes go to the quiescence collector ([`crate::gc`]).
 //!
-//! ## Batched physical deletion (a departure from the paper)
-//!
-//! With [`SkipQueue::with_unlink_batch`] the winner of the `deleted` swap
-//! does *not* run Pugh's physical delete. It extracts the payload and
-//! returns immediately; the marked node stays linked. Once enough claimed
-//! nodes accumulate, one thread at a time (a try-lock — the fast path never
-//! blocks on it) collects the whole marked prefix of the bottom level and
-//! unlinks it with a single hand-over-hand sweep per level, amortizing the
-//! re-search and the two-locks-per-level protocol across the batch, then
-//! retires the group to the collector as one unit. A cache-line-private
-//! *scan-start hint* lets deleters begin their bottom-level walk past the
-//! already-claimed prefix instead of re-walking it from `head.next(0)`;
-//! inserts that land in front of the hint invalidate it *before* they
-//! time-stamp themselves, which is what keeps the paper's Definition 1
-//! intact (see `publish`/repair comments on the fields below). Claim order,
-//! sequence numbering, and timestamp placement are identical to the eager
-//! path, so strict-mode semantics are preserved bit for bit.
-//!
 //! ## Key ownership
 //!
-//! On both paths a concurrent search may still compare a claimed node's key
-//! after the winning deleter has returned: eagerly unlinked nodes are
-//! reachable by walks that loaded them earlier, and batched nodes stay
-//! linked until the sweep. A node therefore keeps its key until the
+//! A concurrent search may still compare a claimed node's key after the
+//! winning deleter has returned: unlinked nodes stay reachable by walks
+//! that loaded them earlier. A node therefore keeps its key until the
 //! collector frees it (see the `node` module), and `delete_min` returns a
-//! clone, hence its `K: Clone` bound (free for `Copy` keys). The batched
-//! constructors keep their narrower `K: Copy` bound.
+//! clone, hence its `K: Clone` bound (free for `Copy` keys).
 //!
 //! Locking invariant: a level's `next` in a node's tower is only written
 //! while holding that same level's `lock`; reads are lock-free (`Acquire`).
@@ -61,15 +41,13 @@
 
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicIsize, AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex as StdMutex};
 use std::task::{Context, Poll, Waker};
 
-use crossbeam_utils::CachePadded;
 use parking_lot::lock_api::RawMutex as RawMutexApi;
-use parking_lot::RawMutex;
 
-use pqalgo::{CleanupPhase, InsertResult, PeekPlatform, Platform, SkipAlgo, TraceEvent};
+use pqalgo::{InsertResult, PeekPlatform, Platform, SkipAlgo, TraceEvent};
 
 use crate::gc::{Collector, RawGuard};
 use crate::node::{IKey, Node, MAX_HEIGHT};
@@ -77,14 +55,6 @@ use crate::pq::PriorityQueue;
 
 /// Default cap on tower height (supports ~2^24 items comfortably).
 const DEFAULT_MAX_HEIGHT: usize = 24;
-
-/// Default claimed-node threshold that triggers a batched physical delete
-/// (see [`SkipQueue::with_unlink_batch`]).
-pub const DEFAULT_UNLINK_BATCH: usize = 128;
-
-/// Hard cap on how many nodes one cleanup sweep collects, bounding the
-/// latency of the delete that happens to trip the threshold.
-const MAX_BATCH: usize = 512;
 
 /// The skiplist-based concurrent priority queue.
 ///
@@ -94,40 +64,11 @@ const MAX_BATCH: usize = 512;
 pub struct SkipQueue<K, V> {
     head: *mut Node<K, V>,
     tail: *mut Node<K, V>,
-    /// Claimed-but-still-linked nodes awaiting a batched physical delete.
-    /// Signed because a claimer marks its node (making it collectible)
-    /// *before* counting it here, so a concurrent sweep can subtract a
-    /// batch member ahead of its claimer's increment — the counter dips
-    /// transiently negative and settles once the increment lands. It is
-    /// only a threshold heuristic; exactness is asserted at quiescence.
-    deferred: CachePadded<AtomicIsize>,
-    /// Serializes batched cleanups. Only ever `try_lock`ed: the fast path
-    /// skips cleanup when another thread is already sweeping.
-    cleaner: CachePadded<RawMutex>,
-    /// Bottom-level scan-start hint: the first node a `delete_min` walk may
-    /// need to look at (null ⇒ start at `head.next(0)`). Everything
-    /// physically before it is marked. Published by the cleaner *before*
-    /// the batch it covers is retired (always with `SeqCst`), which, by the
-    /// clock-order argument in [`crate::gc`], is what makes dereferencing a
-    /// loaded hint sound: a thread whose pin is recent enough to allow the
-    /// hint's target to be freed is guaranteed to load the newer hint value.
-    front: CachePadded<AtomicPtr<Node<K, V>>>,
-    /// Bumped (`SeqCst`) by every insert after linking, before stamping.
-    /// The cleaner publishes a hint only if this is unchanged across its
-    /// collection walk (checked again right after the store), so an insert
-    /// that lands in front of a hint mid-publication either aborts the
-    /// publication or sees the published hint and repairs it — in both
-    /// cases before the insert time-stamps itself, so no *completed* insert
-    /// is ever hidden from a later scan (Definition 1).
-    front_epoch: CachePadded<AtomicU64>,
     max_height: usize,
     p_level: f64,
     /// Strict mode runs the paper's time-stamp mechanism; relaxed mode (§5.4)
     /// omits it and may return concurrently inserted items.
     strict: bool,
-    /// Claimed-node count that triggers a batched physical delete;
-    /// 0 = eager (the paper's per-delete Pugh unlink).
-    unlink_batch: usize,
     /// The quiescence collector, which also owns the queue's only clock
     /// (the paper's `getTime()`). Each call's GC pin takes one tick that
     /// doubles as the insert's FIFO sequence number and as the strict
@@ -136,12 +77,9 @@ pub struct SkipQueue<K, V> {
     /// Its per-thread slots also hold the item counts that
     /// [`SkipQueue::len`] sums, so no shared counter is written per call.
     gc: Collector<K, V>,
-    /// Test-only seams (height scripting, decision tracing, cleaner phase
-    /// hooks); `None` in production, so the fast paths pay one branch.
-    hooks: Option<Box<TestHooks<K, V>>>,
-    /// Mutation seam: re-introduces the PR 3 stale-hint bug in the cleaner's
-    /// abort paths so the abort-path tests can prove they catch it.
-    buggy_abort: bool,
+    /// Test-only seams (height scripting, decision tracing); `None` in
+    /// production, so the fast paths pay one branch.
+    hooks: Option<Box<TestHooks<K>>>,
 }
 
 // SAFETY: the queue hands out no references into nodes; keys are compared
@@ -182,9 +120,6 @@ fn thread_rng_next() -> u64 {
     })
 }
 
-/// Phase-hook callback type (see [`SkipQueue::with_phase_hook`]).
-type PhaseHookFn<K, V> = Box<dyn Fn(CleanupPhase, &SkipQueue<K, V>) + Send + Sync>;
-
 /// Decision-trace configuration: where events go and how to flatten a key
 /// to the platform-neutral `u64` the trace format uses.
 struct TraceCfg<K> {
@@ -193,20 +128,18 @@ struct TraceCfg<K> {
 }
 
 /// Deterministic test seams. All `None`/empty in production.
-struct TestHooks<K, V> {
+struct TestHooks<K> {
     /// Heights consumed (front first) by inserts before falling back to the
     /// RNG — lets a test replay a recorded schedule's exact towers.
     height_script: StdMutex<VecDeque<usize>>,
     trace: Option<TraceCfg<K>>,
-    phase_hook: Option<PhaseHookFn<K, V>>,
 }
 
-impl<K, V> TestHooks<K, V> {
+impl<K> TestHooks<K> {
     fn new() -> Self {
         Self {
             height_script: StdMutex::new(VecDeque::new()),
             trace: None,
-            phase_hook: None,
         }
     }
 }
@@ -480,120 +413,6 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
     fn record_delete(&self, _ctx: &()) {}
 
     fn record_delete_empty(&self, _ctx: &()) {}
-
-    fn deferred_push(&self, _node: Self::Node) -> bool {
-        self.q.deferred.fetch_add(1, Ordering::AcqRel) + 1 >= self.q.unlink_batch as isize
-    }
-
-    fn deferred_pending(&self) -> bool {
-        self.q.deferred.load(Ordering::Relaxed) > 0
-    }
-
-    async fn load_hint(&self) -> Option<Self::Node> {
-        let hint = self.q.front.load(Ordering::SeqCst);
-        if hint.is_null() {
-            None
-        } else {
-            Some(hint)
-        }
-    }
-
-    async fn store_hint(&self, hint: Option<Self::Node>) {
-        match hint {
-            Some(node) => {
-                // SAFETY: the cleaner publishes its `stop` node, still
-                // linked and pinned.
-                self.trace_event(|cfg| {
-                    TraceEvent::HintSet(unsafe { flat_trace_key(cfg.key_fn, node) })
-                });
-                self.q.front.store(node, Ordering::SeqCst);
-            }
-            None => {
-                self.trace_event(|_| TraceEvent::HintClear);
-                self.q.front.store(std::ptr::null_mut(), Ordering::SeqCst);
-            }
-        }
-    }
-
-    async fn hint_key_gt(&self, hint: Self::Node, node: Self::Node) -> bool {
-        // SAFETY: platform contract (both pinned).
-        unsafe { (*hint).key > (*node).key }
-    }
-
-    async fn bump_epoch(&self, _node: Self::Node) {
-        self.q.front_epoch.fetch_add(1, Ordering::SeqCst);
-    }
-
-    async fn load_epoch(&self) -> u64 {
-        self.q.front_epoch.load(Ordering::SeqCst)
-    }
-
-    async fn try_lock_cleaner(&self) -> bool {
-        self.q.cleaner.try_lock()
-    }
-
-    async fn unlock_cleaner(&self) {
-        // SAFETY: paired with a successful `try_lock_cleaner` by the
-        // algorithm.
-        unsafe { self.q.cleaner.unlock() }
-    }
-
-    fn max_batch(&self) -> usize {
-        MAX_BATCH
-    }
-
-    async fn batch_handshake(&self, node: Self::Node) -> bool {
-        // A held node lock means the insert is still linking its upper
-        // levels; don't wait (the sweep can end here), just probe.
-        // SAFETY: platform contract.
-        unsafe {
-            if (*node).node_lock.try_lock() {
-                (*node).node_lock.unlock();
-                true
-            } else {
-                false
-            }
-        }
-    }
-
-    async fn note_batch_member(&self, node: Self::Node) -> usize {
-        // SAFETY: only the cleaner (serialized by its lock) touches
-        // `in_unlink_batch` while the node is linked.
-        unsafe {
-            (*node).in_unlink_batch.store(true, Ordering::Relaxed);
-            (*node).height()
-        }
-    }
-
-    fn seal_batch(&self, _batch: &[Self::Node]) {}
-
-    fn is_batch_member(&self, node: Self::Node) -> bool {
-        // SAFETY: platform contract.
-        unsafe { (*node).in_unlink_batch.load(Ordering::Relaxed) }
-    }
-
-    async fn retire_unlinked_batch(&self, _ctx: &(), batch: Vec<Self::Node>, _heights: &[usize]) {
-        self.trace_event(|cfg| {
-            TraceEvent::RetireBatch(
-                batch
-                    .iter()
-                    // SAFETY: batch members keep their keys until dealloc.
-                    .map(|&n| unsafe { flat_trace_key(cfg.key_fn, n) })
-                    .collect(),
-            )
-        });
-        self.q
-            .deferred
-            .fetch_sub(batch.len() as isize, Ordering::AcqRel);
-        // SAFETY: the cleaner unlinked every member and holds the pin.
-        unsafe { self.q.gc.retire_batch(self.guard(), batch) };
-    }
-
-    fn phase_hook(&self, phase: CleanupPhase) {
-        if let Some(f) = self.q.hooks.as_ref().and_then(|h| h.phase_hook.as_ref()) {
-            f(phase, self.q);
-        }
-    }
 }
 
 impl<K: Ord + Copy, V> PeekPlatform for NativeOp<'_, K, V> {
@@ -645,17 +464,11 @@ impl<K: Ord, V> SkipQueue<K, V> {
         Self {
             head,
             tail,
-            deferred: CachePadded::new(AtomicIsize::new(0)),
-            cleaner: CachePadded::new(RawMutex::INIT),
-            front: CachePadded::new(AtomicPtr::new(std::ptr::null_mut())),
-            front_epoch: CachePadded::new(AtomicU64::new(0)),
             max_height,
             p_level,
             strict,
-            unlink_batch: 0,
             gc: Collector::new(max_threads),
             hooks: None,
-            buggy_abort: false,
         }
     }
 
@@ -685,8 +498,6 @@ impl<K: Ord, V> SkipQueue<K, V> {
             tail: self.tail,
             max_height: self.max_height,
             strict: self.strict,
-            batched: self.unlink_batch != 0,
-            buggy_abort_keeps_hint: self.buggy_abort,
         }
     }
 
@@ -753,29 +564,17 @@ impl<K: Ord, V> SkipQueue<K, V> {
         // SAFETY: &mut self — no concurrent operations.
         unsafe {
             let mut live = 0usize;
-            let mut marked = 0usize;
             for lvl in (0..self.max_height).rev() {
                 let mut prev = self.head;
                 let mut cur = Node::next(prev, lvl);
                 while cur != self.tail {
                     assert!((*prev).key < (*cur).key, "level {lvl} out of order");
                     assert!((*cur).height() > lvl, "node linked above its height");
-                    if (*cur).deleted.load(Ordering::Relaxed) {
-                        // Batched mode legitimately leaves claimed nodes
-                        // linked until the next sweep; they must already be
-                        // emptied by their winning deleter.
-                        assert_ne!(
-                            self.unlink_batch, 0,
-                            "marked node still linked in quiescent state"
-                        );
-                        assert!(
-                            (*(*cur).value.get()).is_none(),
-                            "deferred node still holds a value"
-                        );
-                        if lvl == 0 {
-                            marked += 1;
-                        }
-                    } else if lvl == 0 {
+                    assert!(
+                        !(*cur).deleted.load(Ordering::Relaxed),
+                        "marked node still linked in quiescent state"
+                    );
+                    if lvl == 0 {
                         live += 1;
                         assert_ne!(
                             (*cur).timestamp.load(Ordering::Relaxed),
@@ -788,11 +587,6 @@ impl<K: Ord, V> SkipQueue<K, V> {
                 }
             }
             assert_eq!(live, self.len(), "len out of sync with bottom level");
-            assert_eq!(
-                marked as isize,
-                self.deferred.load(Ordering::Relaxed),
-                "deferred counter out of sync with marked nodes"
-            );
         }
     }
 
@@ -808,7 +602,7 @@ impl<K: Ord, V> SkipQueue<K, V> {
         self.gc.pending()
     }
 
-    fn hooks_mut(&mut self) -> &mut TestHooks<K, V> {
+    fn hooks_mut(&mut self) -> &mut TestHooks<K> {
         self.hooks.get_or_insert_with(|| Box::new(TestHooks::new()))
     }
 
@@ -826,21 +620,8 @@ impl<K: Ord, V> SkipQueue<K, V> {
         self
     }
 
-    /// Test seam: registers a callback invoked at fixed points inside the
-    /// batched cleaner (see [`CleanupPhase`]), with the queue itself in
-    /// hand so the callback can inject concurrent operations.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn with_phase_hook(
-        mut self,
-        f: impl Fn(CleanupPhase, &SkipQueue<K, V>) + Send + Sync + 'static,
-    ) -> Self {
-        self.hooks_mut().phase_hook = Some(Box::new(f));
-        self
-    }
-
     /// Test seam: records the algorithm's logical decisions (heights,
-    /// claims, stamps, hint traffic, retirements) into `sink`, flattening
+    /// claims, stamps, retirements) into `sink`, flattening
     /// keys through `key_fn`.
     #[doc(hidden)]
     #[must_use]
@@ -852,20 +633,6 @@ impl<K: Ord, V> SkipQueue<K, V> {
         self.hooks_mut().trace = Some(TraceCfg { sink, key_fn });
         self
     }
-
-    /// Mutation seam: re-introduces the PR 3 stale-hint bug (aborted hint
-    /// publications leave the previous hint in place). Only for proving the
-    /// abort-path tests catch the bug; never set in production.
-    #[doc(hidden)]
-    pub fn set_buggy_abort(&mut self, on: bool) {
-        self.buggy_abort = on;
-    }
-
-    /// Test seam: whether the batched scan-start hint is currently unset.
-    #[doc(hidden)]
-    pub fn debug_front_hint_is_null(&self) -> bool {
-        self.front.load(Ordering::SeqCst).is_null()
-    }
 }
 
 impl<K: Ord + Copy, V> SkipQueue<K, V> {
@@ -874,9 +641,7 @@ impl<K: Ord + Copy, V> SkipQueue<K, V> {
     ///
     /// This is the cheap front-key probe a sampling front-end (e.g. a
     /// sharded multi-queue choosing between `c` candidate shards) needs:
-    /// one bottom-level walk, no SWAP, no locks. In batched mode the walk
-    /// starts at the published scan-start hint, so it skips the
-    /// already-claimed prefix just like `delete_min` does.
+    /// one bottom-level walk from the head, no SWAP, no locks.
     ///
     /// The result is a *relaxed snapshot*: the returned key belonged to a
     /// node that was linked and unclaimed at some instant during the call,
@@ -885,32 +650,10 @@ impl<K: Ord + Copy, V> SkipQueue<K, V> {
     /// timestamps are deliberately ignored — a probe is not a claim, so
     /// Definition 1 does not apply to it.
     ///
-    /// Requires `K: Copy`, like the batched constructors whose sampling
-    /// front-end it serves: the probe returns the key by value.
+    /// Requires `K: Copy`: the probe returns the key by value.
     pub fn peek_min_key(&self) -> Option<K> {
         let op = NativeOp::new(self);
         drive(self.algo().peek_min_key(&op))
-    }
-
-    /// Switches physical deletion to the deferred, batched scheme (see the
-    /// [module docs](self)): a claimed node stays linked until `threshold`
-    /// claims have accumulated, then one thread unlinks the whole claimed
-    /// prefix in a single sweep and retires it as a group. `threshold = 0`
-    /// restores the paper's eager per-delete unlink.
-    ///
-    /// Strict-mode ordering (Definition 1) is preserved exactly. Keys are
-    /// required to be `Copy`, the integer priorities this mode is built
-    /// and tested for.
-    #[must_use]
-    pub fn with_unlink_batch(mut self, threshold: usize) -> Self {
-        self.unlink_batch = threshold;
-        self
-    }
-
-    /// Strict queue with batched physical deletion at the default
-    /// threshold ([`DEFAULT_UNLINK_BATCH`]).
-    pub fn new_batched() -> Self {
-        Self::new().with_unlink_batch(DEFAULT_UNLINK_BATCH)
     }
 }
 
@@ -950,8 +693,6 @@ impl<K, V> std::fmt::Debug for SkipQueue<K, V> {
             .field("len", &self.gc.len())
             .field("max_height", &self.max_height)
             .field("strict", &self.strict)
-            .field("unlink_batch", &self.unlink_batch)
-            .field("deferred", &self.deferred.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
 }
@@ -1054,11 +795,21 @@ mod tests {
     #[test]
     fn len_is_exact_when_inserts_and_deletes_run_on_different_threads() {
         let mut q: SkipQueue<u64, u64> = SkipQueue::new();
+        // Both threads stay alive until the deletes are done: a thread
+        // started after another exited may reuse its thread-local address,
+        // and with it the exited thread's slot.
+        let turn = std::sync::Barrier::new(2);
         std::thread::scope(|s| {
-            s.spawn(|| (0..100).for_each(|k| q.insert(k, k)));
-        });
-        std::thread::scope(|s| {
-            s.spawn(|| (0..40).for_each(|_| assert!(q.delete_min().is_some())));
+            s.spawn(|| {
+                (0..100).for_each(|k| q.insert(k, k));
+                turn.wait();
+                turn.wait();
+            });
+            s.spawn(|| {
+                turn.wait();
+                (0..40).for_each(|_| assert!(q.delete_min().is_some()));
+                turn.wait();
+            });
         });
         // The deleting thread's own count went negative; only the sum is
         // meaningful.
@@ -1316,214 +1067,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_single_thread_ordering() {
-        let mut q = SkipQueue::new().with_unlink_batch(8);
-        for k in [5u64, 1, 9, 3, 7, 0, 8, 2, 6, 4] {
-            q.insert(k, k * 10);
-        }
-        q.check_invariants();
-        for expect in 0..10u64 {
-            assert_eq!(q.delete_min(), Some((expect, expect * 10)));
-        }
-        assert_eq!(q.delete_min(), None);
-        q.check_invariants();
-    }
-
-    #[test]
-    fn batched_randomized_against_binary_heap() {
-        // Small threshold so sweeps fire constantly, including mid-stream.
-        let mut q = SkipQueue::new().with_unlink_batch(4);
-        let mut reference = BinaryHeap::new();
-        let mut state = 99u64;
-        for i in 0..5_000 {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            if state.is_multiple_of(3) {
-                let got = q.delete_min().map(|(k, _)| k);
-                let want = reference.pop().map(|std::cmp::Reverse(k)| k);
-                assert_eq!(got, want, "step {i}");
-            } else {
-                let k = state >> 32;
-                q.insert(k, ());
-                reference.push(std::cmp::Reverse(k));
-            }
-            if i % 512 == 0 {
-                q.check_invariants();
-            }
-        }
-        assert_eq!(q.len(), reference.len());
-        q.check_invariants();
-    }
-
-    #[test]
-    fn batched_strict_ordering_smoke() {
-        // Definition 1 through the hint: a completed insert — even one that
-        // lands *in front of* a published scan hint — must be visible to
-        // the next delete_min.
-        let q = SkipQueue::new().with_unlink_batch(2);
-        // Build a dead prefix so a hint gets published past key 100.
-        for k in 100..120u64 {
-            q.insert(k, ());
-        }
-        for _ in 0..10 {
-            q.delete_min().unwrap();
-        }
-        for round in 0..50u64 {
-            q.insert(round, ()); // smaller than everything left: hint must yield
-            let (k, _) = q.delete_min().expect("completed insert must be seen");
-            assert_eq!(k, round, "hint hid a completed insert");
-        }
-    }
-
-    #[test]
-    fn batched_multithread_stress_matches_model() {
-        // Phase 1: real threads hammer the batched queue; phase 2: drain
-        // quiescently and compare the union of everything delivered against
-        // a sequential model fed the same inserts.
-        use crate::seq::SeqSkipList;
-        let q = Arc::new(SkipQueue::new().with_unlink_batch(8));
-        let threads = 8usize;
-        let per = 1_500u64;
-        let results: Vec<(Vec<u64>, Vec<u64>)> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let q = Arc::clone(&q);
-                    s.spawn(move || {
-                        let mut inserted = Vec::new();
-                        let mut got = Vec::new();
-                        let mut state = (t as u64 + 1) * 0x1234_5677;
-                        for i in 0..per {
-                            state ^= state << 13;
-                            state ^= state >> 7;
-                            state ^= state << 17;
-                            if !state.is_multiple_of(3) {
-                                let k = (state >> 16) << 4 | t as u64; // unique per thread
-                                q.insert(k, t as u64);
-                                inserted.push(k);
-                            } else if let Some((k, _)) = q.delete_min() {
-                                got.push(k);
-                            }
-                            let _ = i;
-                        }
-                        (inserted, got)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let mut q = Arc::into_inner(q).unwrap();
-        q.check_invariants();
-        let mut all_inserted: Vec<u64> = results.iter().flat_map(|(i, _)| i.clone()).collect();
-        let mut delivered: Vec<u64> = results.iter().flat_map(|(_, g)| g.clone()).collect();
-        let remaining = q.drain_sorted();
-        assert!(
-            remaining.windows(2).all(|w| w[0].0 <= w[1].0),
-            "drain out of order"
-        );
-        delivered.extend(remaining.iter().map(|(k, _)| *k));
-        // Same multiset: feed the model and drain it fully.
-        let mut model = SeqSkipList::new();
-        for &k in &all_inserted {
-            model.insert(k, ());
-        }
-        let mut model_all: Vec<u64> =
-            std::iter::from_fn(|| model.delete_min().map(|(k, _)| k)).collect();
-        all_inserted.sort_unstable();
-        delivered.sort_unstable();
-        model_all.sort_unstable();
-        assert_eq!(delivered, all_inserted, "lost or duplicated items");
-        assert_eq!(model_all, all_inserted, "model disagrees on contents");
-    }
-
-    #[test]
-    fn batched_retirement_frees_every_node() {
-        // Tracked VALUES (keys must be Copy-friendly in batched mode): every
-        // payload must be dropped exactly once after quiescence, proving the
-        // batch-retirement path reclaims every deferred node.
-        use std::sync::atomic::AtomicUsize;
-        static DROPS: AtomicUsize = AtomicUsize::new(0);
-
-        struct Tracked;
-        impl Drop for Tracked {
-            fn drop(&mut self) {
-                DROPS.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-
-        let n = 1_000u64;
-        {
-            let q: SkipQueue<u64, Tracked> = SkipQueue::new().with_unlink_batch(16);
-            for k in 0..n {
-                q.insert(k, Tracked);
-            }
-            for _ in 0..n {
-                drop(q.delete_min().unwrap().1);
-            }
-            assert_eq!(q.delete_min().map(|_| ()), None);
-            // All nodes are either retired or still linked-but-claimed; a
-            // forced collection after quiescence must free every retiree.
-            q.collect_garbage();
-            assert_eq!(q.garbage_pending(), 0, "batch retirement left garbage");
-        }
-        assert_eq!(DROPS.load(Ordering::SeqCst), n as usize, "leaked payloads");
-    }
-
-    #[test]
-    fn batched_multithread_drain_no_duplicates() {
-        let q = Arc::new(SkipQueue::new_batched());
-        let n = 4_000u64;
-        for k in 0..n {
-            q.insert(k, ());
-        }
-        let mut all: Vec<u64> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..8)
-                .map(|_| {
-                    let q = Arc::clone(&q);
-                    s.spawn(move || {
-                        let mut got = Vec::new();
-                        while let Some((k, _)) = q.delete_min() {
-                            got.push(k);
-                        }
-                        got
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap())
-                .collect()
-        });
-        assert_eq!(all.len() as u64, n);
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len() as u64, n, "duplicates delivered");
-        let mut q = Arc::into_inner(q).unwrap();
-        q.check_invariants();
-    }
-
-    #[test]
-    fn batched_relaxed_mode_conserves_items() {
-        let q = Arc::new(SkipQueue::new_relaxed().with_unlink_batch(8));
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let q = Arc::clone(&q);
-                s.spawn(move || {
-                    for i in 0..1_000u64 {
-                        q.insert(t * 10_000 + i, ());
-                        if i % 2 == 0 {
-                            q.delete_min();
-                        }
-                    }
-                });
-            }
-        });
-        let mut q = Arc::into_inner(q).unwrap();
-        q.check_invariants();
-        assert_eq!(q.len(), 4 * 1_000 - 4 * 500);
-    }
-
-    #[test]
     fn peek_min_key_eager_tracks_minimum() {
         let q: SkipQueue<u64, u64> = SkipQueue::new();
         assert_eq!(q.peek_min_key(), None);
@@ -1542,26 +1085,8 @@ mod tests {
     }
 
     #[test]
-    fn peek_min_key_batched_skips_claimed_prefix() {
-        // Small threshold so a sweep publishes a hint mid-test; marked
-        // nodes lingering before the sweep must be skipped either way.
-        let q: SkipQueue<u64, u64> = SkipQueue::new().with_unlink_batch(4);
-        for k in 0..20u64 {
-            q.insert(k, k);
-        }
-        for expect in 0..10u64 {
-            assert_eq!(q.peek_min_key(), Some(expect));
-            assert_eq!(q.delete_min().map(|(k, _)| k), Some(expect));
-        }
-        assert_eq!(q.peek_min_key(), Some(10));
-        // An insert in front of the hint must be visible to the probe.
-        q.insert(2, 2);
-        assert_eq!(q.peek_min_key(), Some(2));
-    }
-
-    #[test]
     fn peek_min_key_concurrent_smoke() {
-        let q = Arc::new(SkipQueue::<u64, ()>::new_batched());
+        let q = Arc::new(SkipQueue::<u64, ()>::new());
         for k in 0..2_000u64 {
             q.insert(k + 1, ());
         }

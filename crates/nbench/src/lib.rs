@@ -3,10 +3,8 @@
 //! Unlike `pq-bench` (which drives the *simulated* machine to reproduce the
 //! paper's figures), this crate measures the real implementation with real
 //! `std::thread`s on the host: throughput and `delete_min` latency
-//! percentiles across four workloads and a sweep of thread counts, in both
-//! the paper's eager-unlink mode (`baseline`) and the batched
-//! physical-deletion mode (`batched`, see
-//! [`SkipQueue::with_unlink_batch`]).
+//! percentiles across four workloads and a sweep of thread counts, for the
+//! paper's single queue (`baseline`).
 //!
 //! Since the sharded front-end landed ([`shardq`]), the harness also
 //! measures [`ShardedSkipQueue`] (`sharded` mode, `--shards`/`--sample`)
@@ -23,7 +21,7 @@
 //! re-parses a results file with the in-crate JSON reader so CI can verify
 //! the artifact without external dependencies, and `--check NEW --against
 //! OLD` pairs runs between two documents — refusing outright when their
-//! recorded configs (ops per thread, prefill, unlink batch) differ, so a
+//! recorded configs (ops per thread, prefill) differ, so a
 //! perf comparison can never silently span mismatched experiments.
 
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -44,8 +42,9 @@ use hist::LatencyHist;
 
 /// Schema identifier stamped into every results document. `v2` added the
 /// embedded run config (threads, workload, batch, shards, sample width),
-/// the `sharded` mode with rank-error summaries, and document comparison.
-pub const SCHEMA: &str = "nbench-v2";
+/// the `sharded` mode with rank-error summaries, and document comparison;
+/// `v3` dropped the `batched` mode and its batch-threshold config field.
+pub const SCHEMA: &str = "nbench-v3";
 
 /// The four workload shapes the harness runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,7 +53,7 @@ pub enum Workload {
     Mixed,
     /// 80% insert / 20% delete_min.
     InsertHeavy,
-    /// 20% insert / 80% delete_min (the regime batching targets).
+    /// 20% insert / 80% delete_min (dominated by the claim walk).
     DeleteHeavy,
     /// The classic *hold* model: every step inserts a random key and then
     /// removes the minimum, holding queue size constant.
@@ -99,11 +98,9 @@ impl Workload {
 /// Which queue construction a run measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunMode {
-    /// Single `SkipQueue`, the paper's eager per-delete unlink.
+    /// Single `SkipQueue`, the paper's queue.
     Baseline,
-    /// Single `SkipQueue` with batched physical deletion.
-    Batched,
-    /// [`ShardedSkipQueue`]: `shards` batched SkipQueues behind
+    /// [`ShardedSkipQueue`]: `shards` SkipQueues behind
     /// sample-`sample`-of-`shards` delete-min and the elimination array.
     Sharded {
         /// Shard count (`k`).
@@ -118,7 +115,6 @@ impl RunMode {
     pub fn name(self) -> &'static str {
         match self {
             RunMode::Baseline => "baseline",
-            RunMode::Batched => "batched",
             RunMode::Sharded { .. } => "sharded",
         }
     }
@@ -187,14 +183,11 @@ pub struct Config {
     pub ops_per_thread: u64,
     /// Items inserted before the clock starts.
     pub prefill: u64,
-    /// Batch threshold used in `batched` mode.
-    pub unlink_batch: usize,
     /// Thread counts to sweep.
     pub threads: Vec<usize>,
     /// Workloads to run.
     pub workloads: Vec<Workload>,
-    /// Skip everything but the paper's eager unlink (no batched or
-    /// sharded runs).
+    /// Run only the single queue (no sharded runs).
     pub baseline_only: bool,
     /// Shard counts to sweep in `sharded` mode (empty = no sharded runs).
     pub shards: Vec<usize>,
@@ -228,7 +221,6 @@ impl Default for Config {
         Self {
             ops_per_thread: 50_000,
             prefill: 10_000,
-            unlink_batch: skipqueue::DEFAULT_UNLINK_BATCH,
             threads: Self::default_threads(),
             workloads: Workload::ALL.to_vec(),
             baseline_only: false,
@@ -258,25 +250,12 @@ enum BenchQueue {
 }
 
 impl BenchQueue {
-    fn build(cfg: &Config, mode: RunMode) -> Self {
+    fn build(mode: RunMode) -> Self {
         match mode {
             RunMode::Baseline => BenchQueue::Single(SkipQueue::new()),
-            RunMode::Batched => {
-                BenchQueue::Single(SkipQueue::new().with_unlink_batch(cfg.unlink_batch))
-            }
-            // The batch threshold is a *system-wide* claimed-prefix budget:
-            // split it across shards, or every peek/claim walk pays the
-            // full single-queue deleted-prefix length — times the sample
-            // width.
-            RunMode::Sharded { shards, sample } => {
-                BenchQueue::Sharded(ShardedSkipQueue::with_params(
-                    shards,
-                    sample,
-                    (cfg.unlink_batch / shards).max(1),
-                    InsertPolicy::RoundRobin,
-                    true,
-                ))
-            }
+            RunMode::Sharded { shards, sample } => BenchQueue::Sharded(
+                ShardedSkipQueue::with_params(shards, sample, InsertPolicy::RoundRobin, true),
+            ),
         }
     }
 
@@ -301,7 +280,7 @@ impl BenchQueue {
 /// Sharded cells do *not* carry a rank summary yet — [`run_all`] attaches
 /// one from the separate recorded pass ([`measure_rank_error`]).
 pub fn run_one(cfg: &Config, workload: Workload, threads: usize, mode: RunMode) -> RunResult {
-    let queue: Arc<BenchQueue> = Arc::new(BenchQueue::build(cfg, mode));
+    let queue: Arc<BenchQueue> = Arc::new(BenchQueue::build(mode));
     // Prefill outside the measured region; spread keys so the measured
     // inserts land on both sides of the existing population. A draining
     // workload (more deletes than inserts) gets its expected net drain added
@@ -414,7 +393,7 @@ pub fn measure_rank_error(
     threads: usize,
     mode: RunMode,
 ) -> RankSummary {
-    let queue: Arc<BenchQueue> = Arc::new(BenchQueue::build(cfg, mode));
+    let queue: Arc<BenchQueue> = Arc::new(BenchQueue::build(mode));
     let clock = Arc::new(TicketClock::new());
     let ops = cfg.ops_per_thread.min(RANK_PASS_OPS_CAP);
     let total_ops = ops * threads as u64;
@@ -481,7 +460,7 @@ pub fn measure_rank_error(
 }
 
 /// Runs the full sweep described by `cfg`: baseline, then (unless
-/// `baseline_only`) batched, then one sharded cell per
+/// `baseline_only`) one sharded cell per
 /// `cfg.shards × cfg.samples` pair (sample widths above the shard count
 /// are skipped — they'd be clamped into duplicates) — each sharded cell
 /// followed by its recorded rank pass.
@@ -489,7 +468,6 @@ pub fn run_all(cfg: &Config, mut progress: impl FnMut(&RunResult)) -> Vec<RunRes
     let mut out = Vec::new();
     let mut modes: Vec<RunMode> = vec![RunMode::Baseline];
     if !cfg.baseline_only {
-        modes.push(RunMode::Batched);
         for &shards in &cfg.shards {
             for &sample in &cfg.samples {
                 if sample <= shards {
@@ -533,7 +511,6 @@ pub fn render_report(cfg: &Config, results: &[RunResult]) -> String {
     w.begin_object();
     w.field_u64("ops_per_thread", cfg.ops_per_thread);
     w.field_u64("prefill", cfg.prefill);
-    w.field_u64("unlink_batch", cfg.unlink_batch as u64);
     w.key("threads");
     w.begin_array();
     for &t in &cfg.threads {
@@ -601,33 +578,14 @@ pub fn render_report(cfg: &Config, results: &[RunResult]) -> String {
     w.end_array();
     w.key("summary");
     w.begin_object();
-    w.key("delete_min_speedup_batched_vs_baseline");
-    w.begin_array();
-    for &workload in &[Workload::DeleteHeavy, Workload::Mixed] {
-        for r in results
-            .iter()
-            .filter(|r| r.workload == workload && r.mode == RunMode::Batched)
-        {
-            if let Some(base) = results.iter().find(|b| {
-                b.workload == workload && b.threads == r.threads && b.mode == RunMode::Baseline
-            }) {
-                w.begin_object();
-                w.field_str("workload", workload.name());
-                w.field_u64("threads", r.threads as u64);
-                w.field_f64("speedup", r.delete_throughput() / base.delete_throughput());
-                w.end_object();
-            }
-        }
-    }
-    w.end_array();
-    w.key("delete_min_speedup_sharded_vs_batched");
+    w.key("delete_min_speedup_sharded_vs_baseline");
     w.begin_array();
     for r in results
         .iter()
         .filter(|r| matches!(r.mode, RunMode::Sharded { .. }))
     {
         if let Some(base) = results.iter().find(|b| {
-            b.workload == r.workload && b.threads == r.threads && b.mode == RunMode::Batched
+            b.workload == r.workload && b.threads == r.threads && b.mode == RunMode::Baseline
         }) {
             let (shards, sample) = r.mode.shape();
             w.begin_object();
@@ -666,7 +624,7 @@ pub fn check_report(text: &str) -> Result<usize, String> {
         .get("config")
         .and_then(|v| v.as_object())
         .ok_or("missing config block")?;
-    for key in ["ops_per_thread", "prefill", "unlink_batch"] {
+    for key in ["ops_per_thread", "prefill"] {
         if config.get(key).and_then(|v| v.as_f64()).is_none() {
             return Err(format!("config missing field {key:?}"));
         }
@@ -695,7 +653,7 @@ pub fn check_report(text: &str) -> Result<usize, String> {
             }
         }
         let mode = run.get("mode").and_then(|v| v.as_str()).unwrap_or("");
-        if mode != "baseline" && mode != "batched" && mode != "sharded" {
+        if mode != "baseline" && mode != "sharded" {
             return Err(format!("run {i} has unknown mode {mode:?}"));
         }
         if mode == "sharded" {
@@ -757,7 +715,7 @@ fn run_key(run: &std::collections::BTreeMap<String, json::Value>) -> RunKey {
 /// Compares two results documents run-by-run.
 ///
 /// Both must validate under [`check_report`], and their embedded configs
-/// (ops per thread, prefill, unlink batch) must match **exactly** — a
+/// (ops per thread, prefill) must match **exactly** — a
 /// mismatch is a hard error, because a throughput ratio between different
 /// experiments is noise wearing a number's clothes. Runs are paired on
 /// `(workload, threads, mode, shards, sample)`; runs present in only one
@@ -782,15 +740,14 @@ pub fn compare_reports(
 
     let cfg_of = |o: &std::collections::BTreeMap<String, json::Value>| {
         let c = o.get("config").and_then(|v| v.as_object()).unwrap();
-        ["ops_per_thread", "prefill", "unlink_batch"]
-            .map(|k| c.get(k).and_then(|v| v.as_f64()).unwrap_or(-1.0))
+        ["ops_per_thread", "prefill"].map(|k| c.get(k).and_then(|v| v.as_f64()).unwrap_or(-1.0))
     };
     let (new_cfg, old_cfg) = (cfg_of(new_obj), cfg_of(old_obj));
     if new_cfg != old_cfg {
         return Err(format!(
-            "config mismatch — refusing to compare: new (ops_per_thread={}, prefill={}, \
-             unlink_batch={}) vs old (ops_per_thread={}, prefill={}, unlink_batch={})",
-            new_cfg[0], new_cfg[1], new_cfg[2], old_cfg[0], old_cfg[1], old_cfg[2]
+            "config mismatch — refusing to compare: new (ops_per_thread={}, prefill={}) \
+             vs old (ops_per_thread={}, prefill={})",
+            new_cfg[0], new_cfg[1], old_cfg[0], old_cfg[1]
         ));
     }
 
@@ -874,7 +831,6 @@ mod tests {
         Config {
             ops_per_thread: 400,
             prefill: 200,
-            unlink_batch: 8,
             threads: vec![1, 2],
             workloads: vec![Workload::Mixed, Workload::DeleteHeavy],
             shards: vec![2],
@@ -887,9 +843,9 @@ mod tests {
     fn tiny_sweep_produces_sane_results() {
         let cfg = tiny_config();
         let results = run_all(&cfg, |_| {});
-        // 2 workloads × 2 thread counts × 4 modes (baseline, batched,
-        // sharded k2c1, sharded k2c2).
-        assert_eq!(results.len(), 16);
+        // 2 workloads × 2 thread counts × 3 modes (baseline, sharded k2c1,
+        // sharded k2c2).
+        assert_eq!(results.len(), 12);
         for r in &results {
             assert_eq!(r.total_ops, cfg.ops_per_thread * r.threads as u64);
             assert!(r.elapsed_s > 0.0);
@@ -923,7 +879,7 @@ mod tests {
     fn checker_rejects_garbage() {
         assert!(check_report("not json").is_err());
         assert!(check_report("{}").is_err());
-        assert!(check_report(r#"{"schema":"nbench-v2","runs":[]}"#).is_err());
+        assert!(check_report(r#"{"schema":"nbench-v3","runs":[]}"#).is_err());
         assert!(check_report(r#"{"schema":"wrong","runs":[{}]}"#).is_err());
         // v1 documents (no config block) are refused outright.
         assert!(check_report(r#"{"schema":"nbench-v1","runs":[{}]}"#).is_err());

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! nbench [--quick] [--ops N] [--prefill N] [--threads 1,2,4,8]
-//!        [--workloads mixed,delete-heavy] [--batch N] [--baseline]
+//!        [--workloads mixed,delete-heavy] [--baseline]
 //!        [--shards 2,4,8] [--sample 1,2] [--out PATH]
 //! nbench --check PATH                      # validate a results file
 //! nbench --check NEW --against OLD         # compare two results files
@@ -14,7 +14,7 @@
 //! `shardq::ShardedSkipQueue`), one per shard-count × sample-width pair;
 //! `--sample LIST` sets how many shards each `delete_min` samples
 //! (`1` = random-shard claim, no peek). Comparison mode refuses to pair
-//! documents whose configs (ops/thread, prefill, unlink batch) differ —
+//! documents whose configs (ops/thread, prefill) differ —
 //! cross-config ratios are not comparisons, they're coincidences.
 
 use std::process::ExitCode;
@@ -24,7 +24,7 @@ use nbench::{check_report, compare_reports, render_report, run_all, Config, Work
 fn usage() -> ! {
     eprintln!(
         "usage: nbench [--quick] [--ops N] [--prefill N] [--threads LIST] \
-         [--workloads LIST] [--batch N] [--baseline] [--shards LIST] \
+         [--workloads LIST] [--baseline] [--shards LIST] \
          [--sample LIST] [--out PATH]\n\
          \u{20}      nbench --check PATH [--against PATH [--min-ratio R]]"
     );
@@ -49,7 +49,6 @@ fn main() -> ExitCode {
             }
             "--ops" => cfg.ops_per_thread = parse_num(&next("--ops")),
             "--prefill" => cfg.prefill = parse_num(&next("--prefill")),
-            "--batch" => cfg.unlink_batch = parse_num(&next("--batch")) as usize,
             "--baseline" => cfg.baseline_only = true,
             "--threads" => {
                 cfg.threads = next("--threads")
@@ -138,11 +137,10 @@ fn main() -> ExitCode {
     }
 
     eprintln!(
-        "nbench: {} ops/thread, prefill {}, threads {:?}, batch {}{}{}",
+        "nbench: {} ops/thread, prefill {}, threads {:?}{}{}",
         cfg.ops_per_thread,
         cfg.prefill,
         cfg.threads,
-        cfg.unlink_batch,
         if cfg.shards.is_empty() {
             String::new()
         } else {

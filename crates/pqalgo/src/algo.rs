@@ -1,14 +1,14 @@
-//! The SkipQueue algorithm (Figures 9–11, §3, §5.4, plus the batched
-//! physical-deletion departure), written once over [`Platform`] hooks.
+//! The SkipQueue algorithm (Figures 9–11, §3, §5.4), written once over
+//! [`Platform`] hooks.
 //!
-//! Control flow, lock protocol, claim filtering and the cleaner's five
-//! phases live here; *what the individual steps cost and compile to* lives
+//! Control flow, lock protocol, claim filtering and the eager physical
+//! delete live here; *what the individual steps cost and compile to* lives
 //! in the platform implementations (`crates/core` native, `crates/simpq`
 //! simulated). The hook sequence each path issues is exactly the charged-op
 //! sequence of the original hand-written simulator transcription, so the
 //! simulator's figures are bit-identical across the unification.
 
-use crate::platform::{CleanupPhase, InsertResult, PeekPlatform, Platform};
+use crate::platform::{InsertResult, PeekPlatform, Platform};
 
 /// Tower-height ceiling shared by both runtimes (the native queue caps
 /// construction at 32, the simulator at 30).
@@ -27,16 +27,6 @@ pub struct SkipAlgo<N> {
     pub max_height: usize,
     /// Strict (time-stamped, Definition 1) vs relaxed (§5.4) semantics.
     pub strict: bool,
-    /// Batched physical deletion active (the PR 3 departure); `false` is
-    /// the paper's eager per-delete Pugh unlink.
-    pub batched: bool,
-    /// Mutation seam for the batched cleaner's Phase-4 abort paths: when
-    /// set, an aborted hint publication leaves the previously published
-    /// hint in place instead of clearing it — re-introducing the PR 3
-    /// use-after-free. Exists so tests can prove the abort-path coverage
-    /// actually fails on the bug. Never set in production.
-    #[doc(hidden)]
-    pub buggy_abort_keeps_hint: bool,
 }
 
 impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
@@ -127,19 +117,6 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
         }
         p.unlock_node(node).await;
 
-        if self.batched {
-            // Hint maintenance, ordered *before* the time stamp: a scan that
-            // starts after this insert completes must not begin past the new
-            // node. Bump the epoch (aborts any in-flight hint publication),
-            // then repair the hint ourselves if it already points past us.
-            p.bump_epoch(node).await;
-            if let Some(hint) = p.load_hint().await {
-                if hint != node && p.hint_key_gt(hint, node).await {
-                    p.store_hint(None).await;
-                }
-            }
-        }
-
         // Line 29: the time stamp is set only after the node is completely
         // inserted.
         p.store_stamp(&ctx, node).await;
@@ -162,25 +139,10 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
         };
 
         // Lines 2–10: walk the bottom level, SWAP-claiming the first
-        // unmarked node stamped before we began. Batched mode starts at the
-        // published scan hint (everything physically before it is already
-        // claimed) and test-and-test-and-sets the mark so walking over a
-        // lingering claimed node costs a read, not a SWAP.
-        let mut node1 = if self.batched {
-            match p.load_hint().await {
-                Some(hint) => hint,
-                None => p.load_next(self.head, 0).await,
-            }
-        } else {
-            p.load_next(self.head, 0).await
-        };
+        // unmarked node stamped before we began.
+        let mut node1 = p.load_next(self.head, 0).await;
         let victim = loop {
             if node1 == self.tail {
-                if self.batched && p.deferred_pending() {
-                    // EMPTY but claimed nodes are still linked: sweep now so
-                    // an idle queue does not pin its final batch.
-                    self.cleanup(p, &ctx).await;
-                }
                 p.exit(&mut ctx).await;
                 p.record_delete_empty(&ctx);
                 return false; // EMPTY
@@ -190,31 +152,17 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
             } else {
                 true
             };
-            if eligible
-                && !(self.batched && p.load_deleted(node1).await)
-                && !p.swap_deleted(node1).await
-            {
+            if eligible && !p.swap_deleted(node1).await {
                 p.note_claim(&mut ctx, node1);
                 break node1;
             }
             node1 = p.load_next(node1, 0).await;
         };
 
-        if self.batched || P::EAGER_PAYLOAD_FIRST {
+        if P::EAGER_PAYLOAD_FIRST {
             // Lines 11–13: save the value and key. The winner of the SWAP is
             // the unique owner of the payload.
             p.take_payload(&mut ctx, victim).await;
-        }
-
-        if self.batched {
-            // Deferred physical delete: leave the marked node linked and
-            // sweep once enough claims have accumulated.
-            if p.deferred_push(victim) {
-                self.cleanup(p, &ctx).await;
-            }
-            p.exit(&mut ctx).await;
-            p.record_delete(&ctx);
-            return true;
         }
 
         // Pugh's physical delete. Lines 15–22: re-find the predecessors.
@@ -257,118 +205,8 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
         true
     }
 
-    /// Batched physical delete: collect the contiguous marked prefix of the
-    /// bottom level, unlink every member with one counting hand-over-hand
-    /// sweep per level (top-down, two locks per level — the same protocol
-    /// as the eager unlink, amortized across the batch), publish the
-    /// scan-start hint, and retire the batch as a group.
-    ///
-    /// Only one sweeper at a time (cleaner try-lock); callers that lose
-    /// simply return — the claim fast path never blocks here.
-    async fn cleanup<P: Platform<Node = N>>(&self, p: &P, ctx: &P::Ctx) {
-        if !p.try_lock_cleaner().await {
-            return;
-        }
-        // Epoch snapshot for the hint publication below: if any insert
-        // completes linking after this point, the publication is aborted or
-        // repaired by the insert itself.
-        let v1 = p.load_epoch().await;
-        p.phase_hook(CleanupPhase::PreCollect);
-        // Phase 1: collect the marked prefix. Stop at the first node that is
-        // unmarked, still mid-insert (node-lock handshake — possible in
-        // relaxed mode, which can claim before stamping), or past the cap.
-        // `stop` is the first node NOT in the batch and becomes the
-        // published scan hint.
-        let mut batch: Vec<N> = Vec::new();
-        let mut heights: Vec<usize> = Vec::new();
-        let mut cur = p.load_next(self.head, 0).await;
-        let stop = loop {
-            if cur == self.tail || batch.len() >= p.max_batch() {
-                break cur;
-            }
-            if !p.load_deleted(cur).await {
-                break cur;
-            }
-            if !p.batch_handshake(cur).await {
-                break cur; // insert still linking its upper levels
-            }
-            heights.push(p.note_batch_member(cur).await);
-            batch.push(cur);
-            cur = p.load_next(cur, 0).await;
-        };
-        if batch.is_empty() {
-            p.unlock_cleaner().await;
-            return;
-        }
-        p.seal_batch(&batch);
-        // Phase 2: per-level membership counts, so each level's sweep knows
-        // when it has seen the whole batch and can stop.
-        let mut level_counts = [0usize; MAX_HEIGHT];
-        for &h in &heights {
-            for c in level_counts.iter_mut().take(h) {
-                *c += 1;
-            }
-        }
-        // Phase 3: top-down counting sweep. One hand-over-hand pass per
-        // level from the head; every batch member met is unlinked under the
-        // usual two locks (pred's and its own), with the backward pointer
-        // left for concurrent traversals. Members cannot be unlinked by
-        // anyone else, so each level pass terminates after
-        // `level_counts[lvl]` removals.
-        for lvl in (0..self.max_height).rev() {
-            let mut remaining = level_counts[lvl];
-            if remaining == 0 {
-                continue;
-            }
-            let mut pred = self.head;
-            p.lock_level(pred, lvl).await;
-            while remaining > 0 {
-                let cur = p.load_next(pred, lvl).await;
-                debug_assert!(cur != self.tail, "batch member lost at level {lvl}");
-                if p.is_batch_member(cur) {
-                    p.lock_level(cur, lvl).await;
-                    let nxt = p.load_next(cur, lvl).await;
-                    p.store_next(pred, lvl, nxt).await;
-                    p.store_next(cur, lvl, pred).await;
-                    p.unlock_level(cur, lvl).await;
-                    remaining -= 1;
-                } else {
-                    // A node inserted (or claimed after collection) between
-                    // batch members: keep it, advance past.
-                    p.lock_level(cur, lvl).await;
-                    p.unlock_level(pred, lvl).await;
-                    pred = cur;
-                }
-            }
-            p.unlock_level(pred, lvl).await;
-        }
-        p.phase_hook(CleanupPhase::PrePublish);
-        // Phase 4: publish the scan hint — but only if no insert completed
-        // linking since `v1`; re-check after the store and roll back so a
-        // racing insert can never be hidden. Must happen *before* the batch
-        // is retired (Phase 5) — that order is what makes dereferencing a
-        // loaded hint safe on the native runtime. On either abort path the
-        // hint is *cleared*, not merely left alone: the previously published
-        // hint may name a node that this sweep collected (the old `stop` can
-        // be claimed and re-swept), and leaving it in place across Phase 5
-        // would dangle. Inserts only ever clear the hint, so the clear never
-        // hides anything — it just costs the next scan a walk from the head.
-        if p.load_epoch().await == v1 {
-            p.store_hint(Some(stop)).await;
-            p.phase_hook(CleanupPhase::PostPublish);
-            if p.load_epoch().await != v1 && !self.buggy_abort_keeps_hint {
-                p.store_hint(None).await;
-            }
-        } else if !self.buggy_abort_keeps_hint {
-            p.store_hint(None).await;
-        }
-        // Phase 5: hand the whole batch to the collector in one shot.
-        p.retire_unlinked_batch(ctx, batch, &heights).await;
-        p.unlock_cleaner().await;
-    }
-
-    /// Non-claiming front-key probe: walks the bottom level from the scan
-    /// hint (batched) or the head and returns the first unmarked key, or
+    /// Non-claiming front-key probe: walks the bottom level from the head
+    /// and returns the first unmarked key, or
     /// `None` when no unmarked node is found. Reads only — no SWAP, no
     /// locks — so a sampling front-end can compare shard fronts cheaply.
     /// The snapshot is relaxed: strict-mode stamps are deliberately ignored
@@ -376,14 +214,7 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
     pub async fn peek_min_key<P: PeekPlatform<Node = N>>(&self, p: &P) -> Option<P::PeekKey> {
         let mut ctx = p.op_begin();
         p.enter(&mut ctx).await;
-        let mut node1 = if self.batched {
-            match p.load_hint().await {
-                Some(hint) => hint,
-                None => p.load_next(self.head, 0).await,
-            }
-        } else {
-            p.load_next(self.head, 0).await
-        };
+        let mut node1 = p.load_next(self.head, 0).await;
         let key = loop {
             if node1 == self.tail {
                 break None;

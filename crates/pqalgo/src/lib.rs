@@ -7,9 +7,8 @@
 //! * Pugh insert with hand-over-hand `getLock` re-validation (Figures 9–10),
 //! * claim-based `delete_min` with time-stamp filtering (Figure 11,
 //!   Definition 1) and the relaxed variant (§5.4),
-//! * the batched physical-deletion cleaner (this repo's PR 3 departure:
-//!   five phases, epoch-validated scan-start hint, abort paths),
-//! * quiescence GC entry/exit and group retirement hooks (§3).
+//! * Pugh's eager physical delete of each claimed node (Figure 11),
+//! * quiescence GC entry/exit and retirement hooks (§3).
 //!
 //! The algorithm is parameterized over a [`Platform`] supplying memory
 //! operations, locks, the clock, RNG, GC registration and instrumentation.
@@ -27,4 +26,4 @@ mod algo;
 mod platform;
 
 pub use algo::{SkipAlgo, MAX_HEIGHT};
-pub use platform::{CleanupPhase, InsertResult, PeekPlatform, Platform, TraceEvent};
+pub use platform::{InsertResult, PeekPlatform, Platform, TraceEvent};

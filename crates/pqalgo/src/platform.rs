@@ -23,26 +23,13 @@
 //! * `swap_deleted` is the claiming `SWAP` of Figure 11 line 7.
 //! * `delete_read_clock` / `store_stamp` are `getTime()` and the
 //!   `timeStamp` write (Figure 10 line 29, Figure 11 line 1).
-//! * `enter` / `exit` / `retire_one` / `retire_unlinked_batch` are the §3
-//!   garbage-collection registry and stamped garbage lists.
+//! * `enter` / `exit` / `retire_one` are the §3 garbage-collection registry
+//!   and stamped garbage lists.
 //!
 //! The differences between the two original hand-written implementations
 //! that are *not* pure cost accounting are captured by the associated
 //! `const`s (dictionary-style insert, victim re-find, payload extraction
 //! order, relaxed-mode stamp filtering); each is documented on its item.
-
-/// Identifies where in the batched cleaner a [`Platform::phase_hook`] call
-/// sits. Platforms that inject concurrent work at these points (tests) can
-/// exercise the hint-publication abort paths deterministically.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CleanupPhase {
-    /// After the cleaner lock and epoch snapshot, before the Phase-1 collect.
-    PreCollect,
-    /// After the Phase-3 unlink sweep, before the Phase-4 epoch check.
-    PrePublish,
-    /// After the Phase-4 hint store, before the epoch re-check.
-    PostPublish,
-}
 
 /// Logical decisions of one run, with keys flattened to `u64` (the head
 /// sentinel maps to `0`, the tail to `u64::MAX`). Two [`Platform`]s replaying
@@ -56,14 +43,8 @@ pub enum TraceEvent {
     Claim(u64),
     /// An insert published its time stamp on this key.
     Stamp(u64),
-    /// The batched cleaner published this key as the scan-start hint.
-    HintSet(u64),
-    /// The scan-start hint was cleared (cleaner abort or insert repair).
-    HintClear,
-    /// An eager delete physically unlinked and retired this key.
+    /// A delete physically unlinked and retired this key.
     Retire(u64),
-    /// The batched cleaner unlinked and retired these keys, in batch order.
-    RetireBatch(Vec<u64>),
 }
 
 /// Result of [`crate::SkipAlgo::insert`].
@@ -188,8 +169,7 @@ pub trait Platform {
     fn relaxed_delete_time(&self, ctx: &mut Self::Ctx) -> u64;
     /// Loads `node`'s time stamp (`u64::MAX` = insert incomplete).
     async fn load_stamp(&self, node: Self::Node) -> u64;
-    /// Loads `node`'s deleted mark (batched-mode TTAS filter and the
-    /// cleaner's prefix test).
+    /// Loads `node`'s deleted mark (the front-key probe's filter).
     async fn load_deleted(&self, node: Self::Node) -> bool;
     /// The claiming `SWAP` (Figure 11 line 7): marks `node` deleted and
     /// returns the previous mark — `false` means this caller won the node.
@@ -215,57 +195,6 @@ pub trait Platform {
     fn record_delete(&self, ctx: &Self::Ctx);
     /// Delete-min completion notification for EMPTY.
     fn record_delete_empty(&self, ctx: &Self::Ctx);
-
-    // ---- batched physical deletion ----
-
-    /// Queues a claimed node for the next batch sweep; returns `true` when
-    /// the accumulated count has reached the sweep threshold.
-    fn deferred_push(&self, node: Self::Node) -> bool;
-    /// Whether any claimed nodes are still awaiting a sweep.
-    fn deferred_pending(&self) -> bool;
-    /// Loads the bottom-level scan-start hint (`None` = start at the head).
-    async fn load_hint(&self) -> Option<Self::Node>;
-    /// Publishes (`Some`) or clears (`None`) the scan-start hint.
-    async fn store_hint(&self, hint: Option<Self::Node>);
-    /// `hint.key > node.key` — the insert-side hint repair test. Charged as
-    /// one READ of the hint's key on the simulator.
-    async fn hint_key_gt(&self, hint: Self::Node, node: Self::Node) -> bool;
-    /// Insert's epoch bump after linking: native `fetch_add`, simulator a
-    /// `SWAP` of the (unique) node address into the epoch word.
-    async fn bump_epoch(&self, node: Self::Node);
-    /// Cleaner's epoch snapshot / re-check read.
-    async fn load_epoch(&self) -> u64;
-    /// Try-acquires the one-sweeper-at-a-time cleaner lock.
-    async fn try_lock_cleaner(&self) -> bool;
-    /// Releases the cleaner lock.
-    async fn unlock_cleaner(&self);
-    /// Cap on nodes collected by one sweep.
-    fn max_batch(&self) -> usize;
-    /// The Phase-1 node-lock handshake that waits out (simulator) or skips
-    /// (native try-lock) an insert still linking its upper levels. `false`
-    /// ends the collection at this node.
-    async fn batch_handshake(&self, node: Self::Node) -> bool;
-    /// Marks `node` as a batch member and returns its height (native: a
-    /// flag store + free height; simulator: a charged READ of the level).
-    async fn note_batch_member(&self, node: Self::Node) -> usize;
-    /// Called once after Phase 1 with the complete batch (simulator builds
-    /// its membership set here).
-    fn seal_batch(&self, batch: &[Self::Node]);
-    /// Membership test used by the Phase-3 counting sweep.
-    fn is_batch_member(&self, node: Self::Node) -> bool;
-    /// Phase 5: drop the batch from the deferred accounting and retire it
-    /// as a group to the collector / garbage lists.
-    async fn retire_unlinked_batch(
-        &self,
-        ctx: &Self::Ctx,
-        batch: Vec<Self::Node>,
-        heights: &[usize],
-    );
-    /// Test seam: invoked at fixed points inside the cleaner so a platform
-    /// can inject concurrent work (e.g. an insert that bumps the epoch) and
-    /// exercise the Phase-4 abort paths deterministically. Production
-    /// platforms leave it a no-op.
-    fn phase_hook(&self, phase: CleanupPhase);
 }
 
 /// Extension for platforms whose keys can be surfaced by value: enables the

@@ -16,9 +16,7 @@
 //! | SkipQueue (relaxed)| [`histcheck::History::check_integrity`] must be clean; claims of still-in-flight inserts (condition 4) are *expected* and reported as [`ScheduleOutcome::relaxation_evidence`] |
 //! | Hunt et al. heap   | [`histcheck::History::check_integrity`] |
 //! | FunnelList         | [`histcheck::History::check_strict`]    |
-//! | SkipQueue (strict, batched unlink) | same as strict — batching defers *physical* removal only, so Definition 1 must survive every schedule |
-//! | SkipQueue (relaxed, batched unlink)| same as relaxed |
-//! | Sharded ([`SHARDED_SHARDS`] strict batched shards, sample [`SHARDED_SAMPLE`]) | [`histcheck::History::check_integrity`] must be clean; the sampling relaxation is *measured* as [`ScheduleOutcome::rank_error`] |
+//! | Sharded ([`SHARDED_SHARDS`] strict shards, sample [`SHARDED_SAMPLE`]) | [`histcheck::History::check_integrity`] must be clean; the sampling relaxation is *measured* as [`ScheduleOutcome::rank_error`] |
 //!
 //! Everything is a pure function of the [`ScheduleConfig`]: re-running a
 //! failing seed replays the exact schedule, bug included. The `schedtest`
@@ -41,17 +39,9 @@ pub enum QueueUnderTest {
     HuntHeap,
     /// The combining-funnel sorted list.
     FunnelList,
-    /// The strict SkipQueue with batched physical unlinking enabled
-    /// (threshold [`BATCHED_UNLINK_THRESHOLD`]) — the same shared `pqalgo`
-    /// cleaner the native queue runs, instantiated on the simulator. Must
-    /// satisfy the same Definition-1 contract as
-    /// [`QueueUnderTest::SkipQueueStrict`].
-    SkipQueueStrictBatched,
-    /// The relaxed SkipQueue with batched physical unlinking enabled.
-    SkipQueueRelaxedBatched,
     /// A sharded multi-queue front-end (the simulated counterpart of the
     /// native `shardq` crate): [`SHARDED_SHARDS`] independent strict
-    /// batched SkipQueues, inserts routed by processor id, `delete_min`
+    /// SkipQueues, inserts routed by processor id, `delete_min`
     /// sampling [`SHARDED_SAMPLE`] shards and claiming from the one with
     /// the smallest front key, with an exact-scan fallback. Audited under
     /// the relaxed contract — integrity must hold, and the sampling
@@ -60,11 +50,6 @@ pub enum QueueUnderTest {
     /// shared-memory protocol on the sim's word-level machine).
     Sharded,
 }
-
-/// Unlink-batch threshold used for the batched SkipQueue variants. Small
-/// on purpose: schedules run a few hundred operations, and the cleaner
-/// must fire many times per run for its interleavings to be explored.
-pub const BATCHED_UNLINK_THRESHOLD: usize = 8;
 
 /// Shard count for [`QueueUnderTest::Sharded`].
 pub const SHARDED_SHARDS: usize = 3;
@@ -75,29 +60,21 @@ pub const SHARDED_SAMPLE: usize = 2;
 /// Skiplist tower cap shared by every SkipQueue-backed variant.
 pub const SKIP_MAX_LEVEL: usize = 12;
 
-/// Unified constructor for the five SkipQueue-backed roster entries (and
-/// each shard of [`QueueUnderTest::Sharded`]): one place holds the tower
-/// cap and the batching threshold, so the variants differ *only* in the
-/// `(strict, batched)` knobs handed to the shared algorithm.
-fn make_skipqueue(sim: &Sim, strict: bool, batched: bool, tap: &HistoryTap) -> SimSkipQueue {
-    let q = SimSkipQueue::create(sim, SKIP_MAX_LEVEL, strict);
-    let q = if batched {
-        q.with_batched_unlink(sim, BATCHED_UNLINK_THRESHOLD)
-    } else {
-        q
-    };
-    q.with_tap(tap.clone())
+/// Unified constructor for the SkipQueue-backed roster entries (and each
+/// shard of [`QueueUnderTest::Sharded`]): one place holds the tower cap, so
+/// the variants differ *only* in the `strict` knob handed to the shared
+/// algorithm.
+fn make_skipqueue(sim: &Sim, strict: bool, tap: &HistoryTap) -> SimSkipQueue {
+    SimSkipQueue::create(sim, SKIP_MAX_LEVEL, strict).with_tap(tap.clone())
 }
 
 impl QueueUnderTest {
-    /// All seven queues, in reporting order.
-    pub const ALL: [QueueUnderTest; 7] = [
+    /// All five queues, in reporting order.
+    pub const ALL: [QueueUnderTest; 5] = [
         QueueUnderTest::SkipQueueStrict,
         QueueUnderTest::SkipQueueRelaxed,
         QueueUnderTest::HuntHeap,
         QueueUnderTest::FunnelList,
-        QueueUnderTest::SkipQueueStrictBatched,
-        QueueUnderTest::SkipQueueRelaxedBatched,
         QueueUnderTest::Sharded,
     ];
 
@@ -108,8 +85,6 @@ impl QueueUnderTest {
             QueueUnderTest::SkipQueueRelaxed => "relaxed",
             QueueUnderTest::HuntHeap => "heap",
             QueueUnderTest::FunnelList => "funnel",
-            QueueUnderTest::SkipQueueStrictBatched => "strict-batched",
-            QueueUnderTest::SkipQueueRelaxedBatched => "relaxed-batched",
             QueueUnderTest::Sharded => "sharded",
         }
     }
@@ -234,7 +209,7 @@ enum QueueHandle {
     Skip(SimSkipQueue),
     Heap(SimHuntHeap),
     Funnel(SimFunnelList),
-    /// `shards` strict batched SkipQueues sharing one history tap; see
+    /// `shards` strict SkipQueues sharing one history tap; see
     /// [`QueueUnderTest::Sharded`].
     Sharded {
         shards: Vec<SimSkipQueue>,
@@ -393,10 +368,8 @@ fn spawn_workers(sim: &mut Sim, cfg: &ScheduleConfig, handle: QueueHandle) {
 /// `(contract_violations, relaxation_evidence)`; see [`ScheduleOutcome`].
 pub fn audit(queue: QueueUnderTest, history: &History) -> (Vec<Violation>, Vec<Violation>) {
     match queue {
-        QueueUnderTest::SkipQueueStrict | QueueUnderTest::SkipQueueStrictBatched => {
-            (history.check_strict(), Vec::new())
-        }
-        QueueUnderTest::SkipQueueRelaxed | QueueUnderTest::SkipQueueRelaxedBatched => {
+        QueueUnderTest::SkipQueueStrict => (history.check_strict(), Vec::new()),
+        QueueUnderTest::SkipQueueRelaxed => {
             let integrity = history.check_integrity();
             // The relaxed tap stamps delete-mins at their claim SWAP, so a
             // condition-4 hit proves the claimed node's insert had not
@@ -448,12 +421,8 @@ pub fn run_schedule(cfg: &ScheduleConfig) -> ScheduleOutcome {
     );
     let tap = HistoryTap::new();
     let handle = match cfg.queue {
-        QueueUnderTest::SkipQueueStrict => {
-            QueueHandle::Skip(make_skipqueue(&sim, true, false, &tap))
-        }
-        QueueUnderTest::SkipQueueRelaxed => {
-            QueueHandle::Skip(make_skipqueue(&sim, false, false, &tap))
-        }
+        QueueUnderTest::SkipQueueStrict => QueueHandle::Skip(make_skipqueue(&sim, true, &tap)),
+        QueueUnderTest::SkipQueueRelaxed => QueueHandle::Skip(make_skipqueue(&sim, false, &tap)),
         QueueUnderTest::HuntHeap => {
             // Worst case every operation is an insert.
             let cap = cfg.nproc as usize * cfg.ops_per_proc as usize + 1;
@@ -462,15 +431,9 @@ pub fn run_schedule(cfg: &ScheduleConfig) -> ScheduleOutcome {
         QueueUnderTest::FunnelList => QueueHandle::Funnel(
             SimFunnelList::create(&sim, (cfg.nproc / 2).max(1), 2).with_tap(tap.clone()),
         ),
-        QueueUnderTest::SkipQueueStrictBatched => {
-            QueueHandle::Skip(make_skipqueue(&sim, true, true, &tap))
-        }
-        QueueUnderTest::SkipQueueRelaxedBatched => {
-            QueueHandle::Skip(make_skipqueue(&sim, false, true, &tap))
-        }
         QueueUnderTest::Sharded => QueueHandle::Sharded {
             shards: (0..SHARDED_SHARDS)
-                .map(|_| make_skipqueue(&sim, true, true, &tap))
+                .map(|_| make_skipqueue(&sim, true, &tap))
                 .collect(),
             sample: SHARDED_SAMPLE,
         },
@@ -570,19 +533,6 @@ mod tests {
         assert!(c0.faults.is_inert() && c1.faults.is_inert() && c2.faults.is_inert());
         assert!(!c3.faults.is_inert());
         assert!(c3.faults.stall.is_some());
-    }
-
-    #[test]
-    fn batched_schedule_runs_and_audits_clean() {
-        for queue in [
-            QueueUnderTest::SkipQueueStrictBatched,
-            QueueUnderTest::SkipQueueRelaxedBatched,
-        ] {
-            let cfg = ScheduleConfig::new(queue, Workload::FillThenDrain, 11);
-            let out = run_schedule(&cfg);
-            assert!(!out.history.is_empty());
-            assert!(out.violations.is_empty(), "{queue:?}: {:?}", out.violations);
-        }
     }
 
     #[test]

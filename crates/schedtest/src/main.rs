@@ -204,10 +204,7 @@ fn main() -> ExitCode {
                 workload.name(),
                 args.schedules,
             );
-            if matches!(
-                queue,
-                QueueUnderTest::SkipQueueRelaxed | QueueUnderTest::SkipQueueRelaxedBatched
-            ) {
+            if *queue == QueueUnderTest::SkipQueueRelaxed {
                 line.push_str(&format!(" relaxation-evidence={evidence}"));
                 if let Some(s) = evidence_seed {
                     line.push_str(&format!(" (first at seed {s})"));
@@ -227,10 +224,7 @@ fn main() -> ExitCode {
     }
 
     if args.expect_evidence
-        && (args.queues.contains(&QueueUnderTest::SkipQueueRelaxed)
-            || args
-                .queues
-                .contains(&QueueUnderTest::SkipQueueRelaxedBatched))
+        && args.queues.contains(&QueueUnderTest::SkipQueueRelaxed)
         && relaxed_evidence_total == 0
     {
         println!(

@@ -2,10 +2,9 @@
 //!
 //! The paper's Relaxed SkipQueue (§5.4) gives up strict linearized
 //! delete-min for throughput, but every operation still contends on a
-//! single skiplist head; the bottom-level claim walk is the scaling wall
-//! that batched unlinking (see `skipqueue`'s module docs) only softened.
-//! The multiqueue line of work surveyed in *Practical Concurrent Priority
-//! Queues* (Gruber, 2015) removes the wall structurally: keep `k`
+//! single skiplist head, and the bottom-level claim walk is the scaling
+//! wall. The multiqueue line of work surveyed in *Practical Concurrent
+//! Priority Queues* (Gruber, 2015) removes the wall structurally: keep `k`
 //! independent queues, route inserts across them, and serve `delete_min`
 //! from the best of `c` sampled shards. The price is a further relaxation
 //! of Definition 1 — the returned key is only probably the minimum — which
@@ -15,8 +14,8 @@
 //!
 //! [`ShardedSkipQueue`] composes three mechanisms:
 //!
-//! * **Sharding** — `k` cache-padded strict [`SkipQueue`]s (batched
-//!   physical deletion by default). Inserts are routed by a per-thread
+//! * **Sharding** — `k` cache-padded strict [`SkipQueue`]s, each running
+//!   the paper's eager physical delete. Inserts are routed by a per-thread
 //!   policy ([`InsertPolicy`]); `delete_min` samples `c` distinct shards
 //!   (default `c = 2`, the classic power-of-two-choices width), peeks each
 //!   front with [`SkipQueue::peek_min_key`], and claims from the shard
@@ -44,12 +43,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crossbeam_utils::CachePadded;
 use elim::EliminationArray;
-use skipqueue::{PriorityQueue, SkipQueue, DEFAULT_UNLINK_BATCH};
+use skipqueue::{PriorityQueue, SkipQueue};
 
 /// Default sampling width for `delete_min` (power-of-two-choices).
 pub const DEFAULT_SAMPLE: usize = 2;
 
-/// Sampling widths beyond this clamp to a full scan of all shards.
+/// Sampling widths beyond this become a full scan of all shards.
 const MAX_SAMPLE: usize = 8;
 
 /// Default spin budget for a parked deleter in the elimination array.
@@ -72,9 +71,8 @@ pub enum InsertPolicy {
 /// for the semantics; construction is [`ShardedSkipQueue::new`] for the
 /// defaults or [`ShardedSkipQueue::with_params`] for the full knob set.
 ///
-/// `K: Copy` because its shards are batched `SkipQueue`s, which require
-/// it, and the sampling probe and elimination array both traffic in
-/// copied keys.
+/// `K: Copy` because the sampling probe ([`SkipQueue::peek_min_key`]) and
+/// the elimination array both traffic in copied keys.
 pub struct ShardedSkipQueue<K: Ord + Copy, V> {
     shards: Box<[CachePadded<SkipQueue<K, V>>]>,
     sample: usize,
@@ -87,32 +85,19 @@ pub struct ShardedSkipQueue<K: Ord + Copy, V> {
 }
 
 impl<K: Ord + Copy, V> ShardedSkipQueue<K, V> {
-    /// `shards` strict batched SkipQueues, sample width
-    /// [`DEFAULT_SAMPLE`], round-robin insert routing, elimination on.
-    ///
-    /// The default unlink threshold is treated as a *system-wide*
-    /// claimed-prefix budget and split across shards: every `delete_min`
-    /// here walks `sample + 1` deleted prefixes (peeks plus the claim), so
-    /// a full per-shard threshold would multiply the walk cost by the
-    /// shard count.
+    /// `shards` strict SkipQueues, sample width [`DEFAULT_SAMPLE`],
+    /// round-robin insert routing, elimination on.
     pub fn new(shards: usize) -> Self {
-        Self::with_params(
-            shards,
-            DEFAULT_SAMPLE,
-            (DEFAULT_UNLINK_BATCH / shards).max(1),
-            InsertPolicy::RoundRobin,
-            true,
-        )
+        Self::with_params(shards, DEFAULT_SAMPLE, InsertPolicy::RoundRobin, true)
     }
 
-    /// Full-knob constructor. `unlink_batch = 0` keeps every shard on the
-    /// paper's eager per-delete unlink; `sample` is clamped to the shard
-    /// count (and to 8 — beyond that a full scan is cheaper than distinct
-    /// sampling). `elimination` sizes the array at one slot per shard.
+    /// Full-knob constructor. `sample` is clamped to the shard count, and
+    /// any width above 8 scans all shards (beyond that a full scan is
+    /// cheaper than distinct sampling). `elimination` sizes the array at
+    /// one slot per shard.
     pub fn with_params(
         shards: usize,
         sample: usize,
-        unlink_batch: usize,
         policy: InsertPolicy,
         elimination: bool,
     ) -> Self {
@@ -120,9 +105,13 @@ impl<K: Ord + Copy, V> ShardedSkipQueue<K, V> {
         assert!(sample >= 1, "sample width must be at least 1");
         Self {
             shards: (0..shards)
-                .map(|_| CachePadded::new(SkipQueue::new().with_unlink_batch(unlink_batch)))
+                .map(|_| CachePadded::new(SkipQueue::new()))
                 .collect(),
-            sample: sample.min(MAX_SAMPLE),
+            sample: if sample > MAX_SAMPLE {
+                shards
+            } else {
+                sample.min(shards)
+            },
             policy,
             elim: elimination.then(|| EliminationArray::new(shards)),
             elim_spins: DEFAULT_ELIM_SPINS,
@@ -137,7 +126,7 @@ impl<K: Ord + Copy, V> ShardedSkipQueue<K, V> {
 
     /// Effective sampling width (`c`, after clamping).
     pub fn sample_width(&self) -> usize {
-        self.sample.min(self.shards.len())
+        self.sample
     }
 
     /// Successful elimination hand-offs so far.
@@ -191,7 +180,7 @@ impl<K: Ord + Copy, V> ShardedSkipQueue<K, V> {
         if k == 1 {
             return self.shards[0].delete_min();
         }
-        let c = self.sample.min(k);
+        let c = self.sample;
         if c == 1 {
             // Random-shard delete: no peek, claim straight from one shard
             // (the classic c=1 multiqueue). Trades rank quality for a
@@ -425,7 +414,7 @@ mod tests {
         // only passes because the exact-scan fallback kicks in.
         for _ in 0..32 {
             let q: ShardedSkipQueue<u64, &'static str> =
-                ShardedSkipQueue::with_params(8, 2, 0, InsertPolicy::Affinity, false);
+                ShardedSkipQueue::with_params(8, 2, InsertPolicy::Affinity, false);
             q.insert(42, "lone");
             assert_eq!(q.delete_min(), Some((42, "lone")));
             assert_eq!(q.delete_min(), None);
@@ -433,9 +422,26 @@ mod tests {
     }
 
     #[test]
+    fn sample_wider_than_max_scans_every_shard() {
+        // A width above MAX_SAMPLE is a full scan, so a single thread gets
+        // keys spread over all 16 shards back in exact order.
+        let q: ShardedSkipQueue<u64, u64> =
+            ShardedSkipQueue::with_params(16, 16, InsertPolicy::RoundRobin, false);
+        assert_eq!(q.sample_width(), 16);
+        for k in (0..320u64).rev() {
+            q.insert(k, k);
+        }
+        assert!(q.shard_lens().iter().all(|&l| l > 0));
+        for expect in 0..320u64 {
+            assert_eq!(q.delete_min(), Some((expect, expect)));
+        }
+        assert_eq!(q.delete_min(), None);
+    }
+
+    #[test]
     fn round_robin_touches_every_shard() {
         let q: ShardedSkipQueue<u64, u64> =
-            ShardedSkipQueue::with_params(4, 2, 0, InsertPolicy::RoundRobin, false);
+            ShardedSkipQueue::with_params(4, 2, InsertPolicy::RoundRobin, false);
         for i in 0..100 {
             q.insert(i, i);
         }
@@ -450,7 +456,7 @@ mod tests {
     #[test]
     fn affinity_pins_a_thread_to_one_shard() {
         let q: ShardedSkipQueue<u64, u64> =
-            ShardedSkipQueue::with_params(4, 2, 0, InsertPolicy::Affinity, false);
+            ShardedSkipQueue::with_params(4, 2, InsertPolicy::Affinity, false);
         for i in 0..100 {
             q.insert(i, i);
         }
@@ -557,7 +563,7 @@ mod tests {
         }
         while q.delete_min().is_some() {}
         // Deletions retire nodes; collecting from a quiescent state frees
-        // at least the batched groups.
+        // what they retired.
         let freed = q.collect_garbage();
         let pending = q.garbage_pending();
         assert!(freed > 0 || pending == 0, "freed={freed} pending={pending}");

@@ -1,8 +1,8 @@
 //! The SkipQueue on the simulated machine.
 //!
-//! The algorithm itself — Figures 9, 10 and 11, the relaxed §5.4 variant and
-//! the batched cleaner — lives in the shared [`pqalgo`] crate; this module
-//! supplies the *simulated platform* it runs on. Every `READ`/`WRITE`/`SWAP`,
+//! The algorithm itself — Figures 9, 10 and 11 and the relaxed §5.4
+//! variant — lives in the shared [`pqalgo`] crate; this module supplies the
+//! *simulated platform* it runs on. Every `READ`/`WRITE`/`SWAP`,
 //! every semaphore acquire/release, and every `getTime()` a hook issues is a
 //! charged, globally visible simulated operation. Purely address-arithmetic
 //! artifacts of the simulation (finding a node's lock id, which in the
@@ -20,10 +20,9 @@
 //! [`KEY_POS_INF`] (`u64::MAX`); user keys must lie strictly between.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashSet;
 use std::rc::Rc;
 
-use pqalgo::{CleanupPhase, InsertResult, PeekPlatform, Platform, SkipAlgo, TraceEvent};
+use pqalgo::{InsertResult, PeekPlatform, Platform, SkipAlgo, TraceEvent};
 use pqsim::{Addr, Cycles, LockId, Machine, Pcg32, Proc, Sim, Word, NULL};
 
 use crate::tap::HistoryTap;
@@ -98,16 +97,6 @@ pub struct SimSkipQueue {
     /// `getTime()` read); relaxed mode stamps at operation boundaries.
     /// See [`crate::tap`].
     tap: Option<HistoryTap>,
-    /// Claimed-node count that triggers a batched physical delete; 0 = the
-    /// paper's eager per-delete unlink (see [`Self::with_batched_unlink`]).
-    unlink_batch: usize,
-    /// Host-side list of claimed-but-still-linked node addresses (the
-    /// native `deferred` counter plus the batch the cleaner collects).
-    deferred: Rc<RefCell<Vec<Addr>>>,
-    /// `[cleaner-flag, scan-hint, epoch]` words; `NULL` until
-    /// `with_batched_unlink` allocates them, so the default configuration's
-    /// simulated address layout is untouched.
-    batch_words: Addr,
     /// Optional decision-trace sink (host-side, zero simulated cost) for the
     /// cross-runtime differential tests; see [`Self::with_trace`].
     trace: Option<Rc<RefCell<Vec<TraceEvent>>>>,
@@ -152,37 +141,8 @@ impl SimSkipQueue {
             garbage: Rc::new(RefCell::new(Vec::new())),
             stats: Rc::new(RefCell::new(SkipQueueStats::default())),
             tap: None,
-            unlink_batch: 0,
-            deferred: Rc::new(RefCell::new(Vec::new())),
-            batch_words: NULL,
             trace: None,
         }
-    }
-
-    /// Mirrors the native queue's batched physical deletion (see
-    /// `skipqueue::SkipQueue::with_unlink_batch`) on the simulated machine:
-    /// a claimed node stays linked until `threshold` claims accumulate, then
-    /// one processor (guarded by a SWAP try-lock) unlinks the whole batch
-    /// with a single hand-over-hand sweep per level and publishes a
-    /// bottom-level scan hint. Allocates three bookkeeping words; the
-    /// default (eager) configuration allocates nothing, so its address
-    /// layout — and therefore every existing figure — is bit-identical.
-    pub fn with_batched_unlink(mut self, sim: &Sim, threshold: usize) -> Self {
-        assert!(threshold > 0, "use the default for eager unlinking");
-        let m = sim.machine();
-        let mut m = m.borrow_mut();
-        let words = m.mem.alloc(3, 0);
-        m.mem.poke(words, 0); // cleaner flag: 0 = free
-        m.mem.poke(words + 1, Word::from(NULL)); // scan hint: NULL = head
-        m.mem.poke(words + 2, 0); // epoch
-        self.batch_words = words;
-        self.unlink_batch = threshold;
-        self
-    }
-
-    /// Whether batched physical deletion is active (tests/diagnostics).
-    pub fn is_batched(&self) -> bool {
-        self.unlink_batch != 0
     }
 
     /// Attaches a history tap; every subsequent insert / delete-min is
@@ -194,7 +154,7 @@ impl SimSkipQueue {
     }
 
     /// Test seam: records every logical decision (tower heights, claims,
-    /// stamps, hint traffic, retirements) into `sink` as platform-neutral
+    /// stamps, retirements) into `sink` as platform-neutral
     /// [`TraceEvent`]s, for the cross-runtime differential tests. Host-side
     /// and free: attaching a trace changes no charged operation.
     #[doc(hidden)]
@@ -287,8 +247,6 @@ impl SimSkipQueue {
             tail: self.tail,
             max_height: self.max_level,
             strict: self.strict,
-            batched: self.unlink_batch != 0,
-            buggy_abort_keeps_hint: false,
         }
     }
 
@@ -315,8 +273,8 @@ impl SimSkipQueue {
     }
 
     /// Non-claiming front-key probe (counterpart of the native
-    /// `SkipQueue::peek_min_key`): walks the bottom level from the scan
-    /// hint (batched) or the head and returns the first unmarked key, or
+    /// `SkipQueue::peek_min_key`): walks the bottom level from the head and
+    /// returns the first unmarked key, or
     /// `None` when no unmarked node is found. Costs shared-memory reads
     /// only — no SWAP, no locks — so a sampling front-end can compare
     /// shard fronts cheaply; the snapshot is relaxed, exactly as in the
@@ -430,14 +388,12 @@ impl SimSkipQueue {
     }
 
     /// Out-of-band structural check: every level sorted, marked nodes
-    /// absent (batched mode: marked nodes allowed but must match the
-    /// deferred list), bottom-level count of *live* nodes returned. For
-    /// quiescent states (tests).
+    /// absent, bottom-level count of *live* nodes returned. For quiescent
+    /// states (tests).
     pub fn check_invariants(&self, sim: &Sim) -> usize {
         let m = sim.machine();
         let m = m.borrow();
         let mut count = 0;
-        let mut marked = 0usize;
         for lvl in (0..self.max_level).rev() {
             let mut prev_key = KEY_NEG_INF;
             let mut cur = m.mem.peek(next_addr(self.head, lvl)) as Addr;
@@ -448,37 +404,25 @@ impl SimSkipQueue {
                     (m.mem.peek(cur + LEVEL) as usize) > lvl,
                     "node linked above its height"
                 );
-                if m.mem.peek(cur + DELETED) != 0 {
-                    assert_ne!(self.unlink_batch, 0, "marked node still linked (quiescent)");
-                    if lvl == 0 {
-                        marked += 1;
-                    }
+                assert_eq!(
+                    m.mem.peek(cur + DELETED),
+                    0,
+                    "marked node still linked (quiescent)"
+                );
+                if lvl == 0 {
+                    count += 1;
                 }
                 prev_key = k;
                 cur = m.mem.peek(next_addr(cur, lvl)) as Addr;
                 assert_ne!(cur, NULL, "broken chain at level {lvl}");
             }
-            if lvl == 0 {
-                let mut c = m.mem.peek(next_addr(self.head, 0)) as Addr;
-                while c != self.tail {
-                    if m.mem.peek(c + DELETED) == 0 {
-                        count += 1;
-                    }
-                    c = m.mem.peek(next_addr(c, 0)) as Addr;
-                }
-            }
         }
-        assert_eq!(
-            marked,
-            self.deferred.borrow().len(),
-            "deferred list out of sync with marked nodes"
-        );
         count
     }
 
     /// Out-of-band drain of all *live* keys in bottom-level order (tests).
-    /// Batched mode skips claimed-but-still-linked nodes: they are already
-    /// logically deleted.
+    /// Skips claimed-but-still-linked nodes: they are already logically
+    /// deleted.
     pub fn keys_in_order(&self, sim: &Sim) -> Vec<u64> {
         let m = sim.machine();
         let m = m.borrow();
@@ -508,9 +452,6 @@ impl Clone for SimSkipQueue {
             garbage: Rc::clone(&self.garbage),
             stats: Rc::clone(&self.stats),
             tap: self.tap.clone(),
-            unlink_batch: self.unlink_batch,
-            deferred: Rc::clone(&self.deferred),
-            batch_words: self.batch_words,
             trace: self.trace.clone(),
         }
     }
@@ -539,8 +480,6 @@ struct SimOp<'a> {
     input: Cell<(u64, u64)>,
     /// Claimed `(key, value)` of a successful delete-min.
     out: Cell<(u64, u64)>,
-    /// The cleaner's batch membership set (host arithmetic, free).
-    members: RefCell<HashSet<Addr>>,
 }
 
 impl<'a> SimOp<'a> {
@@ -550,7 +489,6 @@ impl<'a> SimOp<'a> {
             p,
             input: Cell::new((0, 0)),
             out: Cell::new((0, 0)),
-            members: RefCell::new(HashSet::new()),
         }
     }
 
@@ -762,117 +700,6 @@ impl Platform for SimOp<'_> {
             tap.record_delete(None, ctx.invoked, self.p.now());
         }
     }
-
-    fn deferred_push(&self, node: Addr) -> bool {
-        // Deferred physical delete: leave the marked node linked and queue
-        // it for the next batch sweep (host-side list, like the paper's
-        // out-of-machine instrumentation).
-        self.p.work(8);
-        let mut d = self.q.deferred.borrow_mut();
-        d.push(node);
-        d.len() >= self.q.unlink_batch
-    }
-
-    fn deferred_pending(&self) -> bool {
-        !self.q.deferred.borrow().is_empty()
-    }
-
-    async fn load_hint(&self) -> Option<Addr> {
-        let hint = self.p.read(self.q.batch_words + 1).await as Addr;
-        if hint == NULL {
-            None
-        } else {
-            Some(hint)
-        }
-    }
-
-    async fn store_hint(&self, hint: Option<Addr>) {
-        match hint {
-            Some(node) => {
-                self.p.write(self.q.batch_words + 1, Word::from(node)).await;
-                self.trace(|| TraceEvent::HintSet(self.trace_key(node)));
-            }
-            None => {
-                self.p.write(self.q.batch_words + 1, Word::from(NULL)).await;
-                self.trace(|| TraceEvent::HintClear);
-            }
-        }
-    }
-
-    async fn hint_key_gt(&self, hint: Addr, node: Addr) -> bool {
-        // One charged READ of the hint's key; the new node's key is the
-        // operand word the processor already holds locally.
-        let hk = self.p.read(hint + KEY).await;
-        hk > self.trace_key(node)
-    }
-
-    async fn bump_epoch(&self, node: Addr) {
-        // SWAP of a unique value — the node address — so the cleaner's
-        // unchanged-epoch check can never alias.
-        self.p.swap(self.q.batch_words + 2, Word::from(node)).await;
-    }
-
-    async fn load_epoch(&self) -> u64 {
-        self.p.read(self.q.batch_words + 2).await
-    }
-
-    async fn try_lock_cleaner(&self) -> bool {
-        self.p.swap(self.q.batch_words, 1).await == 0
-    }
-
-    async fn unlock_cleaner(&self) {
-        self.p.write(self.q.batch_words, 0).await;
-    }
-
-    fn max_batch(&self) -> usize {
-        self.q.unlink_batch * 4
-    }
-
-    async fn batch_handshake(&self, node: Addr) -> bool {
-        // Waits out an insert whose upper levels are still being connected
-        // (a relaxed-mode claim can land mid-insert). The simulated
-        // semaphore blocks rather than try-locks, so the handshake always
-        // succeeds.
-        let nl = self.q.node_lock(self.p, node);
-        self.p.acquire(nl).await;
-        self.p.release(nl).await;
-        true
-    }
-
-    async fn note_batch_member(&self, node: Addr) -> usize {
-        self.p.read(node + LEVEL).await as usize
-    }
-
-    fn seal_batch(&self, batch: &[Addr]) {
-        *self.members.borrow_mut() = batch.iter().copied().collect();
-    }
-
-    fn is_batch_member(&self, node: Addr) -> bool {
-        self.members.borrow().contains(&node)
-    }
-
-    async fn retire_unlinked_batch(&self, _ctx: &SimCtx, batch: Vec<Addr>, heights: &[usize]) {
-        self.trace(|| TraceEvent::RetireBatch(batch.iter().map(|&n| self.trace_key(n)).collect()));
-        self.p.work(8 * batch.len() as u64);
-        let members = self.members.borrow();
-        self.q
-            .deferred
-            .borrow_mut()
-            .retain(|a| !members.contains(a));
-        {
-            let now = self.p.now();
-            let mut g = self.q.garbage.borrow_mut();
-            for (&node, &h) in batch.iter().zip(heights.iter()) {
-                g.push((node, node_words(h), now));
-            }
-        }
-        self.q.stats.borrow_mut().retired += batch.len() as u64;
-    }
-
-    fn phase_hook(&self, _phase: CleanupPhase) {
-        // The simulator injects concurrency with real processors, not
-        // phase hooks.
-    }
 }
 
 impl PeekPlatform for SimOp<'_> {
@@ -934,7 +761,7 @@ mod tests {
     #[test]
     fn peek_min_key_probes_without_claiming() {
         let mut sim = new_sim(1);
-        let q = SimSkipQueue::create(&sim, 8, true).with_batched_unlink(&sim, 4);
+        let q = SimSkipQueue::create(&sim, 8, true);
         let out = sim.alloc_shared(6);
         let q2 = q.clone();
         sim.spawn(move |p| async move {
@@ -949,8 +776,7 @@ mod tests {
             p.write(out + 2, q2.peek_min_key(&p).await.unwrap()).await;
             let (k, _) = q2.delete_min(&p).await.unwrap();
             p.write(out + 3, k).await;
-            // Batched mode leaves the claimed node linked; the probe must
-            // skip the marked prefix.
+            // The probe sees the next minimum once the claim is unlinked.
             p.write(out + 4, q2.peek_min_key(&p).await.unwrap()).await;
         });
         sim.run();
@@ -1180,109 +1006,11 @@ mod tests {
     }
 
     #[test]
-    fn batched_single_proc_ordering() {
-        let mut sim = new_sim(1);
-        let q = SimSkipQueue::create(&sim, 8, true).with_batched_unlink(&sim, 3);
-        assert!(q.is_batched());
-        let out = sim.alloc_shared(8);
-        let q2 = q.clone();
-        sim.spawn(move |p| async move {
-            for k in [5u64, 2, 9, 1, 7, 4, 8, 3] {
-                q2.insert(&p, k, k * 10).await;
-            }
-            for i in 0..8u32 {
-                let (k, _) = q2.delete_min(&p).await.unwrap();
-                p.write(out + i, k).await;
-            }
-            assert!(q2.delete_min(&p).await.is_none());
-        });
-        sim.run();
-        let keys: Vec<u64> = (0..8).map(|i| sim.read_word(out + i)).collect();
-        assert_eq!(keys, vec![1, 2, 3, 4, 5, 7, 8, 9]);
-        assert_eq!(q.check_invariants(&sim), 0);
-        assert_eq!(q.stats().retired, 8, "every claim eventually retired");
-    }
-
-    #[test]
-    fn batched_concurrent_mixed_no_duplicates_no_losses() {
-        let mut sim = new_sim(8);
-        let q = SimSkipQueue::create(&sim, 12, true).with_batched_unlink(&sim, 4);
-        let deleted = sim.alloc_shared(8 * 64);
-        let dcount = sim.alloc_shared(8);
-        for t in 0..8u32 {
-            let q2 = q.clone();
-            sim.spawn(move |p| async move {
-                let mut mine = 0u32;
-                for i in 0..32u64 {
-                    q2.insert(&p, 1 + u64::from(t) + 8 * i, 7).await;
-                    p.work(30);
-                    if i % 2 == 1 {
-                        if let Some((k, _)) = q2.delete_min(&p).await {
-                            p.write(deleted + t * 64 + mine, k).await;
-                            mine += 1;
-                        }
-                    }
-                }
-                p.write(dcount + t, u64::from(mine)).await;
-            });
-        }
-        sim.run();
-        let mut got = Vec::new();
-        for t in 0..8u32 {
-            let c = sim.read_word(dcount + t) as u32;
-            for i in 0..c {
-                got.push(sim.read_word(deleted + t * 64 + i));
-            }
-        }
-        let remaining = q.keys_in_order(&sim);
-        assert_eq!(got.len() + remaining.len(), 8 * 32, "conservation");
-        let mut all: Vec<u64> = got.iter().chain(remaining.iter()).copied().collect();
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len(), 8 * 32, "no duplicates");
-        q.check_invariants(&sim);
-    }
-
-    #[test]
-    fn batched_hint_never_hides_completed_insert() {
-        // Build a claimed prefix so a hint is published past key 100, then
-        // alternate small-key inserts with delete-mins: strict Definition 1
-        // requires every completed insert to be the next minimum returned.
-        let mut sim = new_sim(1);
-        let q = SimSkipQueue::create(&sim, 8, true).with_batched_unlink(&sim, 2);
-        let out = sim.alloc_shared(20);
-        let q2 = q.clone();
-        sim.spawn(move |p| async move {
-            for k in 100..110u64 {
-                q2.insert(&p, k, 0).await;
-            }
-            for _ in 0..6 {
-                q2.delete_min(&p).await.unwrap();
-            }
-            for (i, k) in (1..=20u64).enumerate() {
-                q2.insert(&p, k, 0).await;
-                let (got, _) = q2.delete_min(&p).await.unwrap();
-                p.write(out + i as u32, got).await;
-            }
-        });
-        sim.run();
-        for (i, k) in (1..=20u64).enumerate() {
-            assert_eq!(
-                sim.read_word(out + i as u32),
-                k,
-                "hint hid a completed insert"
-            );
-        }
-    }
-
-    #[test]
-    fn batched_default_config_layout_untouched() {
+    fn trace_sink_is_invisible() {
         // Observation must be invisible: the host-side decision-trace sink
         // used by the cross-runtime differential tests charges no simulated
         // cost, so identical seeds with and without it attached must give
-        // identical layouts and final times. (The batched knob itself is
-        // structurally invisible when off — the shared algorithm takes the
-        // same constructor either way, and `batch_words` stays NULL.)
+        // identical layouts and final times.
         fn run(traced: bool) -> (Vec<u64>, u64) {
             let mut sim = Sim::new(SimConfig::new(4).with_seed(77));
             let q = if traced {
@@ -1290,7 +1018,6 @@ mod tests {
             } else {
                 SimSkipQueue::create(&sim, 10, true)
             };
-            assert!(!q.is_batched());
             for t in 0..4u64 {
                 let q2 = q.clone();
                 sim.spawn(move |p| async move {
@@ -1357,37 +1084,6 @@ mod tests {
         assert_eq!(stamps, [30, 10, 20]);
         assert_eq!(claims, [10, 20]);
         assert_eq!(retires, [10, 20]);
-    }
-
-    #[test]
-    fn batched_collector_reclaims_swept_nodes() {
-        let mut sim = new_sim(3); // 2 workers + 1 collector
-        let q = SimSkipQueue::create(&sim, 8, true).with_batched_unlink(&sim, 4);
-        let done = Rc::new(std::cell::Cell::new(0u32));
-        let freed = Rc::new(std::cell::Cell::new(0u64));
-        for t in 0..2u64 {
-            let q2 = q.clone();
-            let done = Rc::clone(&done);
-            sim.spawn(move |p| async move {
-                for i in 0..50u64 {
-                    q2.insert(&p, 1 + t + 2 * i, t).await;
-                    p.work(40);
-                    q2.delete_min(&p).await;
-                }
-                done.set(done.get() + 1);
-            });
-        }
-        {
-            let q2 = q.clone();
-            let done = Rc::clone(&done);
-            let freed2 = Rc::clone(&freed);
-            sim.spawn_on(2, move |p| async move {
-                freed2.set(q2.run_collector(&p, done, 2).await);
-            });
-        }
-        sim.run();
-        assert_eq!(q.garbage_len(), 0, "collector drains all garbage");
-        assert_eq!(freed.get(), q.stats().retired, "every retired node freed");
     }
 
     #[test]

@@ -90,11 +90,6 @@ pub struct WorkloadConfig {
     pub sched: SchedSpec,
     /// Fault-injection plan (default: inert).
     pub faults: FaultSpec,
-    /// Batched physical deletion threshold for the SkipQueue kinds
-    /// (`Some(n)` mirrors the native `with_unlink_batch(n)`; `None`, the
-    /// default, keeps the paper's eager unlink and an identical simulated
-    /// address layout).
-    pub skip_batched_unlink: Option<usize>,
 }
 
 impl Default for WorkloadConfig {
@@ -113,7 +108,6 @@ impl Default for WorkloadConfig {
             skip_max_level: None,
             sched: SchedSpec::ClockOrder,
             faults: FaultSpec::default(),
-            skip_batched_unlink: None,
         }
     }
 }
@@ -229,10 +223,7 @@ pub fn run_workload(cfg: &WorkloadConfig) -> WorkloadResult {
 
     let queue = match cfg.queue {
         QueueKind::SkipQueue { strict } => {
-            let mut q = SimSkipQueue::create(&sim, skiplist_max_level(cfg), strict);
-            if let Some(threshold) = cfg.skip_batched_unlink {
-                q = q.with_batched_unlink(&sim, threshold);
-            }
+            let q = SimSkipQueue::create(&sim, skiplist_max_level(cfg), strict);
             q.populate(&sim, &mut prng, cfg.initial_size, cfg.key_range);
             AnyQueue::Skip(q)
         }
@@ -549,37 +540,6 @@ mod tests {
             heap.hold.mean,
             skip.hold.mean
         );
-    }
-
-    #[test]
-    fn batched_unlink_workload_conserves_items() {
-        let cfg = WorkloadConfig {
-            skip_batched_unlink: Some(8),
-            ..small(QueueKind::SkipQueue { strict: true }, 8)
-        };
-        let r = run_workload(&cfg);
-        assert_eq!(r.overall.count, 600);
-        let successful_deletes = r.delete.count - r.empty_deletes;
-        assert_eq!(
-            r.final_size as u64,
-            cfg.initial_size as u64 + r.insert.count - successful_deletes
-        );
-    }
-
-    #[test]
-    fn batched_knob_off_is_bit_identical() {
-        // `skip_batched_unlink: None` must not perturb the machine at all —
-        // same trace, same makespan, same op count as the seed behaviour.
-        let plain = small(QueueKind::SkipQueue { strict: true }, 8);
-        let off = WorkloadConfig {
-            skip_batched_unlink: None,
-            ..plain.clone()
-        };
-        let a = run_workload(&plain);
-        let b = run_workload(&off);
-        assert_eq!(a.final_time, b.final_time);
-        assert_eq!(a.shared_ops, b.shared_ops);
-        assert_eq!(a.overall.mean, b.overall.mean);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! serial schedule. Tower heights are the one source of randomness, so the
 //! simulator's draws are recorded and forced onto the native queue via its
 //! height script; after that, per-operation results and the platform-neutral
-//! decision-trace event streams (claims, stamps, hint traffic, retirements)
-//! must match event for event.
+//! decision-trace event streams (heights, claims, stamps, retirements) must
+//! match event for event.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -28,10 +28,9 @@ fn value_of(key: u64) -> u64 {
 }
 
 /// Deterministic mixed schedule (fixed LCG, no host randomness): unique
-/// keys that jump around (so fresh smaller keys land before claimed
-/// prefixes, exercising hint repair in batched mode), insert-biased so the
-/// structure grows and shrinks, and a full drain at the end so the EMPTY
-/// path replays too.
+/// keys that jump around (so fresh smaller keys land in front of the
+/// current minimum), insert-biased so the structure grows and shrinks,
+/// and a full drain at the end so the EMPTY path replays too.
 fn schedule(seed: u64, len: usize) -> Vec<Op> {
     let mut x = seed | 1;
     let mut counter = 1u64;
@@ -60,17 +59,10 @@ fn schedule(seed: u64, len: usize) -> Vec<Op> {
 
 /// Replays `ops` on one simulated processor; returns per-op delete results
 /// and the decision trace (whose `Height` events drive the native replay).
-fn run_sim(
-    ops: &[Op],
-    strict: bool,
-    batch: Option<usize>,
-) -> (Vec<Option<(u64, u64)>>, Vec<TraceEvent>) {
+fn run_sim(ops: &[Op], strict: bool) -> (Vec<Option<(u64, u64)>>, Vec<TraceEvent>) {
     let mut sim = Sim::new(SimConfig::new(1).with_seed(4242));
     let trace = Rc::new(RefCell::new(Vec::new()));
-    let mut q = SimSkipQueue::create(&sim, 12, strict).with_trace(Rc::clone(&trace));
-    if let Some(t) = batch {
-        q = q.with_batched_unlink(&sim, t);
-    }
+    let q = SimSkipQueue::create(&sim, 12, strict).with_trace(Rc::clone(&trace));
     let results = Rc::new(RefCell::new(Vec::new()));
     let ops = ops.to_vec();
     let q2 = q.clone();
@@ -100,16 +92,12 @@ fn run_sim(
 fn run_native(
     ops: &[Op],
     strict: bool,
-    batch: Option<usize>,
     heights: Vec<usize>,
 ) -> (Vec<Option<(u64, u64)>>, Vec<TraceEvent>) {
     let sink = Arc::new(Mutex::new(Vec::new()));
-    let mut q = SkipQueue::<u64, u64>::with_params(12, 0.5, strict, 4)
+    let q = SkipQueue::<u64, u64>::with_params(12, 0.5, strict, 4)
         .with_height_script(heights)
         .with_trace(Arc::clone(&sink), |k| *k);
-    if let Some(t) = batch {
-        q = q.with_unlink_batch(t);
-    }
     let mut results = Vec::new();
     for &op in ops {
         match op {
@@ -125,10 +113,10 @@ fn run_native(
     (results, trace)
 }
 
-fn assert_replay_matches(seed: u64, len: usize, strict: bool, batch: Option<usize>) {
+fn assert_replay_matches(seed: u64, len: usize, strict: bool) {
     let ops = schedule(seed, len);
     let inserts = ops.iter().filter(|o| matches!(o, Op::Insert(_))).count();
-    let (sim_results, sim_trace) = run_sim(&ops, strict, batch);
+    let (sim_results, sim_trace) = run_sim(&ops, strict);
     let heights: Vec<usize> = sim_trace
         .iter()
         .filter_map(|e| match e {
@@ -137,52 +125,38 @@ fn assert_replay_matches(seed: u64, len: usize, strict: bool, batch: Option<usiz
         })
         .collect();
     assert_eq!(heights.len(), inserts, "one height draw per insert");
-    let (native_results, native_trace) = run_native(&ops, strict, batch, heights);
+    let (native_results, native_trace) = run_native(&ops, strict, heights);
 
     assert_eq!(
         sim_results, native_results,
-        "per-operation results diverged (seed {seed}, strict {strict}, batch {batch:?})"
+        "per-operation results diverged (seed {seed}, strict {strict})"
     );
     assert_eq!(
         sim_trace, native_trace,
-        "decision traces diverged (seed {seed}, strict {strict}, batch {batch:?})"
+        "decision traces diverged (seed {seed}, strict {strict})"
     );
 }
 
 #[test]
 fn differential_replay_eager_strict() {
     let ops = schedule(7, 300);
-    let (_, trace) = run_sim(&ops, true, None);
+    let (_, trace) = run_sim(&ops, true);
     assert!(
         trace.iter().any(|e| matches!(e, TraceEvent::Retire(_))),
         "eager replay must exercise the per-delete unlink"
     );
-    assert_replay_matches(7, 300, true, None);
+    assert_replay_matches(7, 300, true);
 }
 
 #[test]
 fn differential_replay_eager_relaxed() {
-    assert_replay_matches(21, 300, false, None);
-}
-
-#[test]
-fn differential_replay_batched_strict() {
-    let ops = schedule(13, 300);
-    let (_, trace) = run_sim(&ops, true, Some(4));
-    assert!(
-        trace
-            .iter()
-            .any(|e| matches!(e, TraceEvent::RetireBatch(_))),
-        "batched replay must exercise the cleaner"
+    let ops = schedule(21, 300);
+    let (_, trace) = run_sim(&ops, false);
+    let count = |f: fn(&TraceEvent) -> bool| trace.iter().filter(|e| f(e)).count();
+    assert_eq!(
+        count(|e| matches!(e, TraceEvent::Claim(_))),
+        count(|e| matches!(e, TraceEvent::Retire(_))),
+        "every relaxed claim must be unlinked and retired eagerly"
     );
-    assert!(
-        trace.iter().any(|e| matches!(e, TraceEvent::HintSet(_))),
-        "batched replay must publish a scan hint"
-    );
-    assert_replay_matches(13, 300, true, Some(4));
-}
-
-#[test]
-fn differential_replay_batched_relaxed() {
-    assert_replay_matches(33, 300, false, Some(4));
+    assert_replay_matches(21, 300, false);
 }

@@ -120,14 +120,14 @@ fn keys_with_drop_glue_survive_gc() {
 }
 
 #[test]
-fn batched_retirement_under_shard_churn_leaks_nothing() {
-    // The sharded front-end is the harshest client `retire_batch` has:
+fn shard_churn_retirement_leaks_nothing() {
+    // The sharded front-end is the harshest client the collector has:
     // every shard owns a collector, each thread holds a slot in several
     // collectors at once (sampling touches shards it never inserts into),
-    // and the batched cleaner retires whole unlinked prefixes in one call
-    // while other threads are still walking them. Drop-counted payloads
-    // account for every node across claim-path drops, per-shard GC, and
-    // queue teardown.
+    // and every claim retires its node while other threads (peeks from
+    // other shards' samplers included) may still be walking it.
+    // Drop-counted payloads account for every node across claim-path
+    // drops, per-shard GC, and queue teardown.
     static LIVE: AtomicUsize = AtomicUsize::new(0);
 
     struct Tracked(#[allow(dead_code)] u64);
@@ -145,13 +145,11 @@ fn batched_retirement_under_shard_churn_leaks_nothing() {
 
     for round in 0..4u64 {
         {
-            // Small unlink batch so retirement batches trigger constantly;
-            // elimination on so hand-offs bypass shards entirely (those
+            // Elimination on so hand-offs bypass shards entirely (those
             // payloads must drop through the consumer, not a collector).
             let q: Arc<ShardedSkipQueue<u64, Tracked>> = Arc::new(ShardedSkipQueue::with_params(
                 4,
                 2,
-                4,
                 InsertPolicy::RoundRobin,
                 true,
             ));
