@@ -1,7 +1,7 @@
 //! A small log-bucketed latency histogram (HDR-style: power-of-two major
 //! buckets, 16 linear sub-buckets each), giving ≤ 6.25% relative error on
 //! percentiles with a fixed 1 KiB footprint and O(1) recording — cheap
-//! enough to sample every `delete_min` in the measured region.
+//! enough to record every operation in a measured region.
 
 /// Sub-buckets per power-of-two range (must be a power of two).
 const SUB: u64 = 16;
@@ -75,11 +75,6 @@ impl LatencyHist {
         self.count
     }
 
-    /// Largest recorded sample (exact, not bucketed).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
     /// Approximate `q`-th percentile (`0 < q <= 100`); 0 when empty.
     pub fn percentile(&self, q: f64) -> u64 {
         if self.count == 0 {
@@ -127,12 +122,12 @@ mod tests {
             h.record(v);
         }
         assert_eq!(h.count(), 10_000);
-        assert_eq!(h.max(), 10_000);
+        assert_eq!(h.max, 10_000);
         let p50 = h.percentile(50.0) as f64;
         assert!((4_500.0..=5_500.0).contains(&p50), "p50 = {p50}");
         let p99 = h.percentile(99.0) as f64;
         assert!((9_000.0..=10_000.0).contains(&p99), "p99 = {p99}");
-        assert!(h.percentile(100.0) <= h.max());
+        assert!(h.percentile(100.0) <= h.max);
     }
 
     #[test]
@@ -150,7 +145,7 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a.count(), c.count());
-        assert_eq!(a.max(), c.max());
+        assert_eq!(a.max, c.max);
         for q in [10.0, 50.0, 90.0, 99.0] {
             assert_eq!(a.percentile(q), c.percentile(q));
         }
@@ -161,6 +156,6 @@ mod tests {
         let h = LatencyHist::new();
         assert_eq!(h.count(), 0);
         assert_eq!(h.percentile(50.0), 0);
-        assert_eq!(h.max(), 0);
+        assert_eq!(h.max, 0);
     }
 }

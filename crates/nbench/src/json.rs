@@ -1,8 +1,7 @@
-//! Dependency-free JSON: a streaming writer (enough to emit the results
-//! document) and a small recursive-descent reader (enough for `--check` to
-//! re-validate one). Not a general-purpose library — no `\u` escapes on
-//! output, numbers limited to what the report uses — but the reader accepts
-//! arbitrary well-formed JSON so external tools' edits still validate.
+//! Dependency-free JSON: a writer for flat objects of numbers and a small
+//! recursive-descent reader. Not a general-purpose library — the writer
+//! emits only what perfbench's result lines need — but the reader accepts
+//! arbitrary well-formed JSON.
 
 use std::collections::BTreeMap;
 
@@ -10,14 +9,12 @@ use std::collections::BTreeMap;
 // Writer
 // ---------------------------------------------------------------------------
 
-/// Streaming JSON writer with 2-space indentation.
+/// Streaming writer of one flat JSON object, with 2-space indentation.
 #[derive(Debug, Default)]
 pub struct JsonWriter {
     out: String,
-    /// Per-open-container flag: has this container emitted an element yet?
+    /// Per-open-object flag: has this object emitted a field yet?
     stack: Vec<bool>,
-    /// Set between `key()` and the value that follows it.
-    pending_key: bool,
 }
 
 impl JsonWriter {
@@ -34,10 +31,6 @@ impl JsonWriter {
     }
 
     fn pre_value(&mut self) {
-        if self.pending_key {
-            self.pending_key = false;
-            return;
-        }
         if let Some(has) = self.stack.last_mut() {
             if *has {
                 self.out.push(',');
@@ -81,51 +74,24 @@ impl JsonWriter {
         self.out.push('}');
     }
 
-    /// Starts `[`.
-    pub fn begin_array(&mut self) {
-        self.pre_value();
-        self.out.push('[');
-        self.stack.push(false);
-    }
-
-    /// Ends `]`.
-    pub fn end_array(&mut self) {
-        let had = self.stack.pop().expect("end_array without begin");
-        if had {
-            self.newline_indent();
-        }
-        self.out.push(']');
-    }
-
-    /// Emits an object key; the next emitted value belongs to it.
-    pub fn key(&mut self, k: &str) {
+    /// Emits `"k": `; the field's value follows.
+    fn key(&mut self, k: &str) {
         self.pre_value();
         self.push_escaped(k);
         self.out.push_str(": ");
-        self.pending_key = true;
-    }
-
-    /// `"k": "v"`.
-    pub fn field_str(&mut self, k: &str, v: &str) {
-        self.key(k);
-        self.pre_value();
-        self.push_escaped(v);
     }
 
     /// `"k": 42`.
     pub fn field_u64(&mut self, k: &str, v: u64) {
         self.key(k);
-        self.pre_value();
         self.out.push_str(&v.to_string());
     }
 
     /// `"k": 1.25` (finite; NaN/inf become `null`).
     pub fn field_f64(&mut self, k: &str, v: f64) {
         self.key(k);
-        self.pre_value();
         if v.is_finite() {
-            // Enough precision to round-trip through the checker; trailing
-            // digits trimmed for readability.
+            // Six decimals, trailing zeros trimmed for readability.
             let s = format!("{v:.6}");
             let s = s.trim_end_matches('0').trim_end_matches('.');
             self.out.push_str(if s.is_empty() { "0" } else { s });
@@ -134,21 +100,9 @@ impl JsonWriter {
         }
     }
 
-    /// A bare `42` array element.
-    pub fn item_u64(&mut self, v: u64) {
-        self.pre_value();
-        self.out.push_str(&v.to_string());
-    }
-
-    /// A bare `"v"` array element.
-    pub fn item_str(&mut self, v: &str) {
-        self.pre_value();
-        self.push_escaped(v);
-    }
-
     /// Returns the finished document (with trailing newline).
     pub fn finish(mut self) -> String {
-        assert!(self.stack.is_empty(), "unclosed container");
+        assert!(self.stack.is_empty(), "unclosed object");
         self.out.push('\n');
         self.out
     }
@@ -415,26 +369,21 @@ mod tests {
     fn writer_produces_parseable_output() {
         let mut w = JsonWriter::new();
         w.begin_object();
-        w.field_str("name", "he said \"hi\"\n");
-        w.field_u64("n", 42);
+        w.field_u64("he said \"hi\"\n", 42);
         w.field_f64("x", 1.5);
-        w.key("list");
-        w.begin_array();
-        w.begin_object();
-        w.field_u64("a", 1);
-        w.end_object();
-        w.end_array();
-        w.key("empty");
-        w.begin_object();
-        w.end_object();
+        w.field_f64("nan", f64::NAN);
         w.end_object();
         let text = w.finish();
         let v = parse(&text).expect("round-trip");
         let obj = v.as_object().unwrap();
-        assert_eq!(obj["name"].as_str(), Some("he said \"hi\"\n"));
-        assert_eq!(obj["n"].as_f64(), Some(42.0));
+        assert_eq!(obj["he said \"hi\"\n"].as_f64(), Some(42.0));
         assert_eq!(obj["x"].as_f64(), Some(1.5));
-        assert_eq!(obj["list"].as_array().unwrap().len(), 1);
+        assert_eq!(obj["nan"], Value::Null);
+
+        let mut empty = JsonWriter::new();
+        empty.begin_object();
+        empty.end_object();
+        assert_eq!(empty.finish(), "{}\n");
     }
 
     #[test]

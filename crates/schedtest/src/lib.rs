@@ -16,7 +16,7 @@
 //! | SkipQueue (relaxed)| [`histcheck::History::check_integrity`] must be clean; claims of still-in-flight inserts (condition 4) are *expected* and reported as [`ScheduleOutcome::relaxation_evidence`] |
 //! | Hunt et al. heap   | [`histcheck::History::check_integrity`] |
 //! | FunnelList         | [`histcheck::History::check_strict`]    |
-//! | Sharded ([`SHARDED_SHARDS`] strict shards, sample [`SHARDED_SAMPLE`]) | [`histcheck::History::check_integrity`] must be clean; the sampling relaxation is *measured* as [`ScheduleOutcome::rank_error`] |
+//! | Sharded ([`SHARDED_SHARDS`] strict shards, two sampled per delete-min) | [`histcheck::History::check_integrity`] must be clean; the sampling relaxation is *measured* as [`ScheduleOutcome::rank_error`] |
 //!
 //! Everything is a pure function of the [`ScheduleConfig`]: re-running a
 //! failing seed replays the exact schedule, bug included. The `schedtest`
@@ -42,20 +42,18 @@ pub enum QueueUnderTest {
     /// A sharded multi-queue front-end (the simulated counterpart of the
     /// native `shardq` crate): [`SHARDED_SHARDS`] independent strict
     /// SkipQueues, inserts routed by processor id, `delete_min`
-    /// sampling [`SHARDED_SAMPLE`] shards and claiming from the one with
-    /// the smallest front key, with an exact-scan fallback. Audited under
-    /// the relaxed contract — integrity must hold, and the sampling
-    /// relaxation is measured as rank error. The native elimination array
-    /// is not reproduced here (it is a contention optimization with no new
-    /// shared-memory protocol on the sim's word-level machine).
+    /// sampling two distinct shards (shardq's fixed `c = 2`) and claiming
+    /// from the one with the smaller front key, with an exact-scan
+    /// fallback. Audited under the relaxed contract — integrity must
+    /// hold, and the sampling relaxation is measured as rank error. The
+    /// native elimination array is not reproduced here (it is a
+    /// contention optimization with no new shared-memory protocol on the
+    /// sim's word-level machine).
     Sharded,
 }
 
 /// Shard count for [`QueueUnderTest::Sharded`].
 pub const SHARDED_SHARDS: usize = 3;
-
-/// Sampling width for [`QueueUnderTest::Sharded`]'s delete-min.
-pub const SHARDED_SAMPLE: usize = 2;
 
 /// Skiplist tower cap shared by every SkipQueue-backed variant.
 pub const SKIP_MAX_LEVEL: usize = 12;
@@ -211,10 +209,7 @@ enum QueueHandle {
     Funnel(SimFunnelList),
     /// `shards` strict SkipQueues sharing one history tap; see
     /// [`QueueUnderTest::Sharded`].
-    Sharded {
-        shards: Vec<SimSkipQueue>,
-        sample: usize,
-    },
+    Sharded(Vec<SimSkipQueue>),
 }
 
 impl QueueHandle {
@@ -226,7 +221,7 @@ impl QueueHandle {
             }
             QueueHandle::Heap(q) => q.insert(p, key, key).await,
             QueueHandle::Funnel(q) => q.insert(p, key, key).await,
-            QueueHandle::Sharded { shards, .. } => {
+            QueueHandle::Sharded(shards) => {
                 // Processor-id routing: deterministic, and adjacent pids
                 // land on different shards so sampling has work to do.
                 let i = p.pid() as usize % shards.len();
@@ -240,50 +235,31 @@ impl QueueHandle {
             QueueHandle::Skip(q) => q.delete_min(p).await,
             QueueHandle::Heap(q) => q.delete_min(p).await,
             QueueHandle::Funnel(q) => q.delete_min(p).await,
-            QueueHandle::Sharded { shards, sample } => {
-                Self::sharded_delete_min(shards, *sample, p).await
-            }
+            QueueHandle::Sharded(shards) => Self::sharded_delete_min(shards, p).await,
         }
     }
 
-    /// The native `shardq` delete-min policy: sample `c` distinct
-    /// shards with non-claiming probes, claim from the smallest front,
-    /// fall back to an exact scan of all shards when sampling found
-    /// nothing (or lost its claim race). A shard-level `delete_min` that
-    /// races to empty records a `None` into the shared history — a true
-    /// observation of that shard, harmless to the relaxed-contract audit
-    /// (integrity ignores EMPTY deletes, and so does the rank auditor).
-    async fn sharded_delete_min(
-        shards: &[SimSkipQueue],
-        sample: usize,
-        p: &Proc,
-    ) -> Option<(u64, u64)> {
+    /// The native `shardq` delete-min policy: peek two distinct shards
+    /// (shardq's fixed `c = 2`, drawn with its formula) with non-claiming
+    /// probes, claim from the smaller front, fall back to an exact scan
+    /// of all shards when sampling found nothing (or lost its claim
+    /// race). A shard-level `delete_min` that races to empty records a
+    /// `None` into the shared history — a true observation of that shard,
+    /// harmless to the relaxed-contract audit (integrity ignores EMPTY
+    /// deletes, and so does the rank auditor).
+    async fn sharded_delete_min(shards: &[SimSkipQueue], p: &Proc) -> Option<(u64, u64)> {
         let k = shards.len();
-        let c = sample.min(k);
-        let mut best: Option<(u64, usize)> = None;
-        if c == k {
-            for (i, s) in shards.iter().enumerate() {
-                if let Some(key) = s.peek_min_key(p).await {
-                    if best.is_none_or(|(bk, _)| key < bk) {
-                        best = Some((key, i));
-                    }
-                }
-            }
+        let (a, b) = if k == 2 {
+            (0, 1)
         } else {
-            let mut chosen = [0usize; 8];
-            let mut n = 0;
-            while n < c {
-                let i = p.gen_range_u64(k as u64) as usize;
-                if !chosen[..n].contains(&i) {
-                    chosen[n] = i;
-                    n += 1;
-                }
-            }
-            for &i in &chosen[..c] {
-                if let Some(key) = shards[i].peek_min_key(p).await {
-                    if best.is_none_or(|(bk, _)| key < bk) {
-                        best = Some((key, i));
-                    }
+            let r = p.gen_range_u64((k * (k - 1)) as u64) as usize;
+            (r % k, (r % k + 1 + r / k) % k)
+        };
+        let mut best: Option<(u64, usize)> = None;
+        for i in [a, b] {
+            if let Some(key) = shards[i].peek_min_key(p).await {
+                if best.is_none_or(|(bk, _)| key < bk) {
+                    best = Some((key, i));
                 }
             }
         }
@@ -431,12 +407,11 @@ pub fn run_schedule(cfg: &ScheduleConfig) -> ScheduleOutcome {
         QueueUnderTest::FunnelList => QueueHandle::Funnel(
             SimFunnelList::create(&sim, (cfg.nproc / 2).max(1), 2).with_tap(tap.clone()),
         ),
-        QueueUnderTest::Sharded => QueueHandle::Sharded {
-            shards: (0..SHARDED_SHARDS)
+        QueueUnderTest::Sharded => QueueHandle::Sharded(
+            (0..SHARDED_SHARDS)
                 .map(|_| make_skipqueue(&sim, true, &tap))
                 .collect(),
-            sample: SHARDED_SAMPLE,
-        },
+        ),
     };
     spawn_workers(&mut sim, cfg, handle);
     let report = sim.run();

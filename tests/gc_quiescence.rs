@@ -6,7 +6,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use shardq::{InsertPolicy, ShardedSkipQueue};
+use shardq::ShardedSkipQueue;
 use skipqueue::SkipQueue;
 
 #[test]
@@ -145,14 +145,9 @@ fn shard_churn_retirement_leaks_nothing() {
 
     for round in 0..4u64 {
         {
-            // Elimination on so hand-offs bypass shards entirely (those
-            // payloads must drop through the consumer, not a collector).
-            let q: Arc<ShardedSkipQueue<u64, Tracked>> = Arc::new(ShardedSkipQueue::with_params(
-                4,
-                2,
-                InsertPolicy::RoundRobin,
-                true,
-            ));
+            // Elimination hand-offs bypass shards entirely (those payloads
+            // must drop through the consumer, not a collector).
+            let q: Arc<ShardedSkipQueue<u64, Tracked>> = Arc::new(ShardedSkipQueue::new(4));
             std::thread::scope(|s| {
                 for t in 0..6u64 {
                     let q = Arc::clone(&q);
