@@ -84,8 +84,3 @@ pub mod seq;
 pub use clock::TimestampClock;
 pub use pq::PriorityQueue;
 pub use queue::SkipQueue;
-
-// Shared-algorithm type surfaced for the cross-runtime differential tests
-// (the decision-trace seam on `SkipQueue` speaks it).
-#[doc(hidden)]
-pub use pqalgo::TraceEvent;

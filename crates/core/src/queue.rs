@@ -5,11 +5,14 @@
 //! [`pqalgo::Platform`] hooks.
 //! This module supplies the **native platform**: nodes are raw pointers,
 //! `load_next`/`store_next` are `Acquire`/`Release` atomics, the level and
-//! node locks are `parking_lot::RawMutex`, and GC registration is the
-//! quiescence collector ([`crate::gc`]). Every hook returns an
-//! immediately-ready future, so one poll drives a whole operation and the
-//! async plumbing compiles down to the same straight-line code the
-//! hand-written version had.
+//! node locks are the `parking_lot` shim's `RawMutex` (`shims/parking_lot`:
+//! a test-and-set lock that spins 64 times, then calls `yield_now`), and GC
+//! registration is the quiescence collector ([`crate::gc`]). Every hook
+//! returns an immediately-ready future, so one poll drives a whole
+//! operation and the async plumbing compiles down to the same
+//! straight-line code the hand-written version had. The algorithm's
+//! [`pqalgo::Event`]s cost one branch each: they are recorded only when a
+//! test attached a trace with [`SkipQueue::with_trace`].
 //!
 //! What the paper's pseudo-code maps to here:
 //!
@@ -47,7 +50,7 @@ use std::task::{Context, Poll, Waker};
 
 use parking_lot::lock_api::RawMutex as RawMutexApi;
 
-use pqalgo::{InsertResult, PeekPlatform, Platform, SkipAlgo, TraceEvent};
+use pqalgo::{Event, InsertResult, PeekPlatform, Platform, SkipAlgo};
 
 use crate::gc::{Collector, RawGuard};
 use crate::node::{IKey, Node, MAX_HEIGHT};
@@ -77,7 +80,7 @@ pub struct SkipQueue<K, V> {
     /// Its per-thread slots also hold the item counts that
     /// [`SkipQueue::len`] sums, so no shared counter is written per call.
     gc: Collector<K, V>,
-    /// Test-only seams (height scripting, decision tracing); `None` in
+    /// Test-only seams (height scripting, event tracing); `None` in
     /// production, so the fast paths pay one branch.
     hooks: Option<Box<TestHooks<K>>>,
 }
@@ -120,10 +123,10 @@ fn thread_rng_next() -> u64 {
     })
 }
 
-/// Decision-trace configuration: where events go and how to flatten a key
+/// Event-trace configuration: where events go and how to flatten a key
 /// to the platform-neutral `u64` the trace format uses.
 struct TraceCfg<K> {
-    sink: Arc<StdMutex<Vec<TraceEvent>>>,
+    sink: Arc<StdMutex<Vec<Event<u64>>>>,
     key_fn: fn(&K) -> u64,
 }
 
@@ -204,18 +207,9 @@ impl<'q, K: Ord, V> NativeOp<'q, K, V> {
             ..Self::new(q)
         }
     }
-
-    /// Records a decision-trace event when tracing is enabled. The closure
-    /// receives the trace config so key-bearing events can flatten keys.
-    fn trace_event(&self, make: impl FnOnce(&TraceCfg<K>) -> TraceEvent) {
-        if let Some(cfg) = self.q.hooks.as_ref().and_then(|h| h.trace.as_ref()) {
-            let ev = make(cfg);
-            cfg.sink.lock().unwrap().push(ev);
-        }
-    }
 }
 
-/// Flattens a node's key for the decision trace: head ⇒ 0, tail ⇒
+/// Flattens a node's key for the event trace: head ⇒ 0, tail ⇒
 /// `u64::MAX`, real keys through the configured projection.
 ///
 /// # Safety
@@ -242,18 +236,14 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
     type Ctx = ();
 
     // The native queue is a multiset (duplicate priorities get fresh
-    // nodes), already holds the victim pointer after the claim, takes the
-    // payload only once the node is unlinked, and reads stamps
-    // for free (the `u64::MAX` filter also skips mid-insert nodes and the
-    // head sentinel in relaxed mode).
+    // nodes), already holds the victim pointer after the claim, and reads
+    // stamps for free (the `u64::MAX` filter also skips mid-insert nodes
+    // and the head sentinel in relaxed mode).
     const DICT_INSERT: bool = false;
     const REFIND_VICTIM: bool = false;
-    const EAGER_PAYLOAD_FIRST: bool = false;
     const RELAXED_CLAIM_READS_STAMP: bool = true;
 
-    fn op_begin(&self) {}
-
-    async fn enter(&self, _ctx: &mut ()) {
+    async fn enter(&self) {
         self.pin.set(Some(self.q.gc.enter()));
     }
 
@@ -264,7 +254,6 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
     fn insert_prepare(&self) -> (Self::SearchKey, Self::Prep) {
         let (key, value) = self.input.take().expect("insert operand staged");
         let height = self.q.next_height();
-        self.trace_event(|_| TraceEvent::Height(height));
         // The pin's tick is unique, and an insert that finished before this
         // one began ticked first, so equal priorities leave in FIFO order.
         let ikey = IKey::Val(key, self.guard().tick);
@@ -282,16 +271,12 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
         unreachable!("native insert is multiset (DICT_INSERT = false)");
     }
 
-    async fn store_stamp(&self, _ctx: &(), node: Self::Node) {
+    async fn store_stamp(&self, node: Self::Node) {
         // A fresh tick, taken after linking: a delete whose pin ticked
         // later is guaranteed to see the node (Definition 1).
         // SAFETY: module-level platform contract (pinned node).
         unsafe { (*node).timestamp.store(self.q.gc.tick(), Ordering::Release) }
-        // SAFETY: node is this insert's own, fully linked, key present.
-        self.trace_event(|cfg| TraceEvent::Stamp(unsafe { flat_trace_key(cfg.key_fn, node) }));
     }
-
-    fn record_insert(&self, _ctx: &(), _node: Self::Node) {}
 
     async fn load_next(&self, node: Self::Node, lvl: usize) -> Self::Node {
         // SAFETY: platform contract.
@@ -347,12 +332,6 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
         self.guard().tick
     }
 
-    fn relaxed_delete_time(&self, _ctx: &mut ()) -> u64 {
-        // "Consider everything" — but the stamp read this bound is compared
-        // against still filters `u64::MAX` (mid-insert nodes and the head).
-        u64::MAX
-    }
-
     async fn load_stamp(&self, node: Self::Node) -> u64 {
         // SAFETY: platform contract.
         unsafe { (*node).timestamp.load(Ordering::Acquire) }
@@ -368,12 +347,7 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
         unsafe { (*node).deleted.swap(true, Ordering::AcqRel) }
     }
 
-    fn note_claim(&self, _ctx: &mut (), node: Self::Node) {
-        // SAFETY: we just won the swap; the node is pinned.
-        self.trace_event(|cfg| TraceEvent::Claim(unsafe { flat_trace_key(cfg.key_fn, node) }));
-    }
-
-    async fn take_payload(&self, _ctx: &mut (), node: Self::Node) {
+    async fn take_payload(&self, node: Self::Node) {
         let clone_key = self.clone_key.expect("delete_min stages a key cloner");
         // SAFETY: we are the unique winner of the `deleted` swap; nobody
         // else touches the value (the mark is never cleared). The key stays
@@ -389,7 +363,7 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
         }
     }
 
-    fn victim_search_key(&self, _ctx: &(), victim: Self::Node) -> Self::SearchKey {
+    fn victim_search_key(&self, victim: Self::Node) -> Self::SearchKey {
         victim
     }
 
@@ -403,16 +377,19 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
         unsafe { debug_assert_eq!(Node::next(pred, lvl), victim, "pred must point at victim") }
     }
 
-    async fn retire_one(&self, _ctx: &(), victim: Self::Node, _height: usize) {
-        // SAFETY (trace): victim's key remains valid until dealloc.
-        self.trace_event(|cfg| TraceEvent::Retire(unsafe { flat_trace_key(cfg.key_fn, victim) }));
+    async fn retire_one(&self, victim: Self::Node, _height: usize) {
         // SAFETY: this caller unlinked `victim` and holds the pin.
         unsafe { self.q.gc.retire(self.guard(), victim) };
     }
 
-    fn record_delete(&self, _ctx: &()) {}
-
-    fn record_delete_empty(&self, _ctx: &()) {}
+    fn observe(&self, _ctx: &mut (), event: Event<Self::Node>) {
+        if let Some(cfg) = self.q.hooks.as_ref().and_then(|h| h.trace.as_ref()) {
+            // SAFETY: an event names a node this operation reached under its
+            // pin, and nodes keep their keys until dealloc.
+            let event = event.map(|node| unsafe { flat_trace_key(cfg.key_fn, node) });
+            cfg.sink.lock().expect("trace sink poisoned").push(event);
+        }
+    }
 }
 
 impl<K: Ord + Copy, V> PeekPlatform for NativeOp<'_, K, V> {
@@ -620,14 +597,14 @@ impl<K: Ord, V> SkipQueue<K, V> {
         self
     }
 
-    /// Test seam: records the algorithm's logical decisions (heights,
-    /// claims, stamps, retirements) into `sink`, flattening
-    /// keys through `key_fn`.
+    /// Test seam: records every [`Event`] the algorithm reports (heights,
+    /// stamps, claims, retirements, delete-min returns) into `sink`,
+    /// flattening keys through `key_fn`.
     #[doc(hidden)]
     #[must_use]
     pub fn with_trace(
         mut self,
-        sink: Arc<StdMutex<Vec<TraceEvent>>>,
+        sink: Arc<StdMutex<Vec<Event<u64>>>>,
         key_fn: fn(&K) -> u64,
     ) -> Self {
         self.hooks_mut().trace = Some(TraceCfg { sink, key_fn });
@@ -1149,16 +1126,23 @@ mod tests {
         q.insert(5, ());
         q.insert(7, ());
         assert_eq!(q.delete_min().map(|(k, _)| k), Some(5));
+        assert_eq!(q.delete_min().map(|(k, _)| k), Some(7));
+        assert_eq!(q.delete_min(), None);
         let events = sink.lock().unwrap().clone();
         assert_eq!(
             events,
             vec![
-                TraceEvent::Height(1),
-                TraceEvent::Stamp(5),
-                TraceEvent::Height(1),
-                TraceEvent::Stamp(7),
-                TraceEvent::Claim(5),
-                TraceEvent::Retire(5),
+                Event::Height(1),
+                Event::Stamp(5),
+                Event::Height(1),
+                Event::Stamp(7),
+                Event::Claim(5),
+                Event::Retire(5),
+                Event::Deleted,
+                Event::Claim(7),
+                Event::Retire(7),
+                Event::Deleted,
+                Event::Empty,
             ]
         );
     }

@@ -8,7 +8,7 @@
 //! sequence of the original hand-written simulator transcription, so the
 //! simulator's figures are bit-identical across the unification.
 
-use crate::platform::{InsertResult, PeekPlatform, Platform};
+use crate::platform::{Event, InsertResult, PeekPlatform, Platform};
 
 /// Tower-height ceiling shared by both runtimes (the native queue caps
 /// construction at 32, the simulator at 30).
@@ -77,8 +77,7 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
 
     /// Inserts the operand staged in the platform (Figure 10).
     pub async fn insert<P: Platform<Node = N>>(&self, p: &P) -> InsertResult {
-        let mut ctx = p.op_begin();
-        p.enter(&mut ctx).await;
+        let mut ctx = p.enter().await;
         let (skey, prep) = p.insert_prepare();
         let preds = self.search(p, skey).await;
 
@@ -99,6 +98,7 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
         // Lines 17–20: make the node, lock it whole so no deleter can start
         // unlinking it while its upper levels are still being connected.
         let (node, height) = p.materialize(prep, skey);
+        p.observe(&mut ctx, Event::Height(height));
         p.lock_node(node).await;
 
         // Lines 21–27: connect bottom-to-top, each level under the
@@ -119,8 +119,8 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
 
         // Line 29: the time stamp is set only after the node is completely
         // inserted.
-        p.store_stamp(&ctx, node).await;
-        p.record_insert(&ctx, node);
+        p.store_stamp(node).await;
+        p.observe(&mut ctx, Event::Stamp(node));
         p.exit(&mut ctx).await;
         InsertResult::Inserted
     }
@@ -128,14 +128,13 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
     /// Removes the minimum entry (Figure 11) into the platform's result
     /// slot; returns `false` for EMPTY.
     pub async fn delete_min<P: Platform<Node = N>>(&self, p: &P) -> bool {
-        let mut ctx = p.op_begin();
-        p.enter(&mut ctx).await;
+        let mut ctx = p.enter().await;
         // Line 1: note the time the search starts; only consider nodes
         // stamped earlier. Relaxed mode (§5.4) considers everything.
         let time = if self.strict {
             p.delete_read_clock(&mut ctx).await
         } else {
-            p.relaxed_delete_time(&mut ctx)
+            u64::MAX
         };
 
         // Lines 2–10: walk the bottom level, SWAP-claiming the first
@@ -144,8 +143,8 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
         let victim = loop {
             if node1 == self.tail {
                 p.exit(&mut ctx).await;
-                p.record_delete_empty(&ctx);
-                return false; // EMPTY
+                p.observe(&mut ctx, Event::Empty);
+                return false;
             }
             let eligible = if self.strict || P::RELAXED_CLAIM_READS_STAMP {
                 p.load_stamp(node1).await < time
@@ -153,20 +152,18 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
                 true
             };
             if eligible && !p.swap_deleted(node1).await {
-                p.note_claim(&mut ctx, node1);
+                p.observe(&mut ctx, Event::Claim(node1));
                 break node1;
             }
             node1 = p.load_next(node1, 0).await;
         };
 
-        if P::EAGER_PAYLOAD_FIRST {
-            // Lines 11–13: save the value and key. The winner of the SWAP is
-            // the unique owner of the payload.
-            p.take_payload(&mut ctx, victim).await;
-        }
+        // Lines 11–13: save the value and key. The winner of the SWAP is the
+        // unique owner of the payload.
+        p.take_payload(victim).await;
 
         // Pugh's physical delete. Lines 15–22: re-find the predecessors.
-        let skey = p.victim_search_key(&ctx, victim);
+        let skey = p.victim_search_key(victim);
         let preds = self.search(p, skey).await;
         // Lines 24–26 (platforms searching by key): make sure we hold a
         // pointer to the node with the key.
@@ -196,12 +193,10 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
         }
         // Lines 36–37: release and retire to the stamped garbage list (§3).
         p.unlock_node(node2).await;
-        if !P::EAGER_PAYLOAD_FIRST {
-            p.take_payload(&mut ctx, node2).await;
-        }
-        p.retire_one(&ctx, node2, height).await;
+        p.observe(&mut ctx, Event::Retire(node2));
+        p.retire_one(node2, height).await;
         p.exit(&mut ctx).await;
-        p.record_delete(&ctx);
+        p.observe(&mut ctx, Event::Deleted);
         true
     }
 
@@ -212,8 +207,7 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
     /// The snapshot is relaxed: strict-mode stamps are deliberately ignored
     /// (a probe is not a claim, so Definition 1 does not apply).
     pub async fn peek_min_key<P: PeekPlatform<Node = N>>(&self, p: &P) -> Option<P::PeekKey> {
-        let mut ctx = p.op_begin();
-        p.enter(&mut ctx).await;
+        let mut ctx = p.enter().await;
         let mut node1 = p.load_next(self.head, 0).await;
         let key = loop {
             if node1 == self.tail {

@@ -11,12 +11,14 @@
 //! * quiescence GC entry/exit and retirement hooks (§3).
 //!
 //! The algorithm is parameterized over a [`Platform`] supplying memory
-//! operations, locks, the clock, RNG, GC registration and instrumentation.
+//! operations, locks, the clock, RNG and GC registration, and reports each
+//! named step of the algorithm to it as an [`Event`] through one hook,
+//! [`Platform::observe`].
 //! `crates/core` instantiates it with a zero-cost native platform (std
-//! atomics + `parking_lot`, driven by a single poll); `crates/simpq`
-//! instantiates it with the simulated 256-processor machine, where every
-//! hook is a charged, globally visible operation and every `.await` a
-//! deterministic scheduling point.
+//! atomics + the `parking_lot` shim's spin-then-yield lock, driven by a
+//! single poll); `crates/simpq` instantiates it with the simulated
+//! 256-processor machine, where every hook is a charged, globally visible
+//! operation and every `.await` a deterministic scheduling point.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
@@ -26,4 +28,4 @@ mod algo;
 mod platform;
 
 pub use algo::{SkipAlgo, MAX_HEIGHT};
-pub use platform::{InsertResult, PeekPlatform, Platform, TraceEvent};
+pub use platform::{Event, InsertResult, PeekPlatform, Platform};

@@ -7,9 +7,11 @@
 //!
 //! * The **native** platform (`crates/core`) maps nodes to raw pointers,
 //!   `load_next`/`store_next` to `Acquire`/`Release` atomics, the level and
-//!   node locks to `parking_lot::RawMutex`, `delete_read_clock` to the global
-//!   `fetch_add` timestamp clock, and the GC hooks to quiescence-collector
-//!   slot registration. Every hook returns an immediately-ready future, so a
+//!   node locks to the `parking_lot` shim's `RawMutex` (`shims/parking_lot`:
+//!   a test-and-set lock that spins 64 times, then calls `yield_now`),
+//!   `delete_read_clock` to the tick the GC pin took from the collector's
+//!   `fetch_add` clock, and the GC hooks to quiescence-collector slot
+//!   registration. Every hook returns an immediately-ready future, so a
 //!   poll-once executor drives a whole operation synchronously.
 //! * The **simulator** platform (`crates/simpq`) maps nodes to simulated
 //!   machine addresses and every hook to the charged `READ`/`WRITE`/`SWAP`/
@@ -26,25 +28,52 @@
 //! * `enter` / `exit` / `retire_one` are the §3 garbage-collection registry
 //!   and stamped garbage lists.
 //!
+//! The algorithm reports its named steps ([`Event`]: the height draw, the
+//! stamp, the claim, the retirement, and the two delete-min returns) through
+//! one hook, [`Platform::observe`]. It is host-side on both runtimes: the
+//! native queue flattens events into its test trace, and the simulator feeds
+//! its history tap and trace without charging a cycle.
+//!
 //! The differences between the two original hand-written implementations
 //! that are *not* pure cost accounting are captured by the associated
-//! `const`s (dictionary-style insert, victim re-find, payload extraction
-//! order, relaxed-mode stamp filtering); each is documented on its item.
+//! `const`s (dictionary-style insert, victim re-find, relaxed-mode stamp
+//! filtering); each is documented on its item.
 
-/// Logical decisions of one run, with keys flattened to `u64` (the head
-/// sentinel maps to `0`, the tail to `u64::MAX`). Two [`Platform`]s replaying
-/// the same schedule must produce identical event streams — that is the
-/// cross-platform differential test.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// An insert drew this tower height.
+/// One named step of the algorithm, reported through [`Platform::observe`]
+/// as it happens. `N` is the platform's node handle; the differential tests
+/// flatten it to a `u64` key (the head sentinel maps to `0`, the tail to
+/// `u64::MAX`), and two [`Platform`]s replaying the same schedule must then
+/// produce identical event streams.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Event<N> {
+    /// An insert drew this tower height (Figure 10 line 17).
     Height(usize),
-    /// A delete-min won the claiming SWAP on this key.
-    Claim(u64),
-    /// An insert published its time stamp on this key.
-    Stamp(u64),
-    /// A delete physically unlinked and retired this key.
-    Retire(u64),
+    /// An insert published its time stamp on this node (Figure 10 line 29).
+    /// The insert is complete: every later delete-min can claim the node.
+    Stamp(N),
+    /// A delete-min won the claiming SWAP on this node (Figure 11 line 7).
+    Claim(N),
+    /// A delete physically unlinked this node and is retiring it (Figure 11
+    /// line 37).
+    Retire(N),
+    /// A delete-min returned its claimed node.
+    Deleted,
+    /// A delete-min found no claimable node and returned EMPTY.
+    Empty,
+}
+
+impl<N> Event<N> {
+    /// Maps the node an event names (if any) through `f`.
+    pub fn map<M>(self, f: impl FnOnce(N) -> M) -> Event<M> {
+        match self {
+            Event::Height(h) => Event::Height(h),
+            Event::Stamp(n) => Event::Stamp(f(n)),
+            Event::Claim(n) => Event::Claim(f(n)),
+            Event::Retire(n) => Event::Retire(f(n)),
+            Event::Deleted => Event::Deleted,
+            Event::Empty => Event::Empty,
+        }
+    }
 }
 
 /// Result of [`crate::SkipAlgo::insert`].
@@ -78,8 +107,10 @@ pub trait Platform {
     /// Token carried from [`Platform::insert_prepare`] to
     /// [`Platform::materialize`] (native: the pre-allocated node).
     type Prep;
-    /// Per-operation state: GC slot (native) or operation start/invocation
-    /// times for the history tap (simulator).
+    /// Per-operation state, written only by [`Platform::enter`],
+    /// [`Platform::delete_read_clock`] and [`Platform::observe`]: nothing
+    /// (native) or operation start/invocation times for the history tap
+    /// (simulator).
     type Ctx;
 
     /// Insert is dictionary-style (Figure 10 lines 10–16): lock the level-0
@@ -91,22 +122,16 @@ pub trait Platform {
     /// level after the predecessor search (Figure 11 lines 24–26). The
     /// native queue already holds the victim pointer and skips the walk.
     const REFIND_VICTIM: bool;
-    /// The eager delete extracts the payload (Figure 11 lines 11–13) before
-    /// the physical unlink (simulator, as in the paper) rather than after it
-    /// (native, which moves non-`Copy` keys out only once unlinked).
-    const EAGER_PAYLOAD_FIRST: bool;
     /// Relaxed-mode (§5.4) delete still reads the stamp and skips nodes
     /// stamped `MAX` (native: the read is free and filters mid-insert nodes
     /// and the head). The simulator charges for every read, so its relaxed
     /// mode skips the read entirely and relies on the claiming SWAP.
     const RELAXED_CLAIM_READS_STAMP: bool;
 
-    /// Starts an operation (native: nothing; simulator: records the
-    /// operation start time for the history tap).
-    fn op_begin(&self) -> Self::Ctx;
-    /// GC entry registration (§3): native quiescence-slot pin, simulator
-    /// entry-time registry write.
-    async fn enter(&self, ctx: &mut Self::Ctx);
+    /// Starts an operation with its GC entry registration (§3): native
+    /// quiescence-slot pin, simulator entry-time registry write (which also
+    /// notes the operation's start time for the history tap).
+    async fn enter(&self) -> Self::Ctx;
     /// GC exit registration: unpin / registry `MAX_TIME` write.
     async fn exit(&self, ctx: &mut Self::Ctx);
 
@@ -128,10 +153,7 @@ pub trait Platform {
     /// Publishes the time stamp (Figure 10 line 29): native stores a global
     /// clock tick; the simulator reads the simulated clock (strict) or
     /// writes `0` (relaxed).
-    async fn store_stamp(&self, ctx: &Self::Ctx, node: Self::Node);
-    /// Insert completion notification (simulator: history-tap record, placed
-    /// after the stamp write has landed).
-    fn record_insert(&self, ctx: &Self::Ctx, node: Self::Node);
+    async fn store_stamp(&self, node: Self::Node);
 
     // ---- traversal ----
 
@@ -162,11 +184,9 @@ pub trait Platform {
 
     // ---- delete-min ----
 
-    /// Strict mode's `getTime()` (Figure 11 line 1).
+    /// Strict mode's `getTime()` (Figure 11 line 1). Relaxed mode skips it
+    /// and considers every stamp below `u64::MAX`.
     async fn delete_read_clock(&self, ctx: &mut Self::Ctx) -> u64;
-    /// Relaxed mode's stand-in for the clock read: returns the "consider
-    /// everything" bound without touching the clock.
-    fn relaxed_delete_time(&self, ctx: &mut Self::Ctx) -> u64;
     /// Loads `node`'s time stamp (`u64::MAX` = insert incomplete).
     async fn load_stamp(&self, node: Self::Node) -> u64;
     /// Loads `node`'s deleted mark (the front-key probe's filter).
@@ -174,15 +194,12 @@ pub trait Platform {
     /// The claiming `SWAP` (Figure 11 line 7): marks `node` deleted and
     /// returns the previous mark — `false` means this caller won the node.
     async fn swap_deleted(&self, node: Self::Node) -> bool;
-    /// Notification that `node` was claimed (simulator relaxed mode stamps
-    /// the operation's linearization here; tracing records the claim).
-    fn note_claim(&self, ctx: &mut Self::Ctx, node: Self::Node);
-    /// Moves the claimed node's key/value out into the platform's result
-    /// slot. The winner of the SWAP is the unique caller.
-    async fn take_payload(&self, ctx: &mut Self::Ctx, node: Self::Node);
+    /// Saves the claimed node's key/value into the platform's result slot
+    /// (Figure 11 lines 11–13). The winner of the SWAP is the unique caller.
+    async fn take_payload(&self, node: Self::Node);
     /// Search operand that re-finds `victim`'s predecessors (native: the
     /// victim handle; simulator: the key word saved by `take_payload`).
-    fn victim_search_key(&self, ctx: &Self::Ctx, victim: Self::Node) -> Self::SearchKey;
+    fn victim_search_key(&self, victim: Self::Node) -> Self::SearchKey;
     /// `victim`'s tower height (free on native; a charged READ of the level
     /// word on the simulator).
     async fn victim_height(&self, victim: Self::Node) -> usize;
@@ -190,11 +207,16 @@ pub trait Platform {
     /// asserts; the simulator cannot cheaply, and skips it).
     fn debug_check_pred(&self, pred: Self::Node, victim: Self::Node, lvl: usize);
     /// Retires one eagerly-unlinked node to the collector / garbage list.
-    async fn retire_one(&self, ctx: &Self::Ctx, victim: Self::Node, height: usize);
-    /// Delete-min completion notification with a claimed payload.
-    fn record_delete(&self, ctx: &Self::Ctx);
-    /// Delete-min completion notification for EMPTY.
-    fn record_delete_empty(&self, ctx: &Self::Ctx);
+    async fn retire_one(&self, victim: Self::Node, height: usize);
+
+    // ---- observation ----
+
+    /// Reports one step of the algorithm as it happens. Must charge
+    /// nothing and change no shared state: native traces it when a test
+    /// asked for a trace; the simulator records it in its history tap and
+    /// trace, and a relaxed claim sets the delete's linearization time in
+    /// `ctx`.
+    fn observe(&self, ctx: &mut Self::Ctx, event: Event<Self::Node>);
 }
 
 /// Extension for platforms whose keys can be surfaced by value: enables the

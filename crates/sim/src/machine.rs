@@ -12,7 +12,6 @@ use crate::lock::{LockId, LockTable};
 use crate::mem::MemState;
 use crate::rng::Pcg32;
 use crate::sched::{FaultSpec, FaultState, SchedPoint, SchedSpec, Scheduler};
-use crate::trace::{TraceBuffer, TraceEvent};
 use crate::{Addr, Cycles, Pid, Word};
 
 /// Static configuration of a simulation run.
@@ -117,7 +116,6 @@ pub struct Machine {
     ready: BTreeSet<(Cycles, Pid)>,
     rngs: Vec<Pcg32>,
     shared_ops: u64,
-    trace: TraceBuffer,
     /// Cycles each processor has spent blocked in lock queues.
     lock_wait: Vec<Cycles>,
     /// Time at which each currently-blocked processor blocked.
@@ -154,28 +152,11 @@ impl Machine {
             faults,
             cfg,
             shared_ops: 0,
-            trace: TraceBuffer::disabled(),
             lock_wait: vec![0; n],
             blocked_since: vec![0; n],
             sched_points: 0,
             injected_delay: 0,
         }
-    }
-
-    /// Enables event tracing, retaining the most recent `capacity` events.
-    /// Tracing costs host time only, never simulated cycles.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = TraceBuffer::with_capacity(capacity);
-    }
-
-    /// The trace buffer (empty unless [`Machine::enable_trace`] was called).
-    pub fn trace(&self) -> &TraceBuffer {
-        &self.trace
-    }
-
-    /// Mutable access to the trace buffer (e.g. to clear between phases).
-    pub fn trace_mut(&mut self) -> &mut TraceBuffer {
-        &mut self.trace
     }
 
     /// Marks `pid` runnable at time 0 (called by the executor at spawn).
@@ -270,22 +251,6 @@ impl Machine {
         self.mem.set_busy_until(addr, module_done);
         self.now[pid as usize] = completion;
         let old = self.mem.peek(addr);
-        if self.trace.enabled() {
-            let kind = match kind {
-                AccessKind::Read => "R",
-                AccessKind::Write(_) => "W",
-                AccessKind::Swap(_) => "SWAP",
-                AccessKind::FetchAdd(_) => "FAA",
-                AccessKind::Cas { .. } => "CAS",
-            };
-            self.trace.push(TraceEvent::Access {
-                time: completion,
-                pid,
-                addr,
-                kind,
-                observed: old,
-            });
-        }
         match kind {
             AccessKind::Read => {}
             AccessKind::Write(v) | AccessKind::Swap(v) => {
@@ -312,11 +277,7 @@ impl Machine {
     pub fn read_clock(&mut self, pid: Pid) -> Cycles {
         self.shared_ops += 1;
         self.now[pid as usize] += self.cfg.cost.instr_overhead + self.cfg.cost.clock_read;
-        let t = self.now[pid as usize];
-        if self.trace.enabled() {
-            self.trace.push(TraceEvent::ClockRead { time: t, pid });
-        }
-        t
+        self.now[pid as usize]
     }
 
     /// Allocates a zeroed block of `len` shared words homed at `pid`'s node,
@@ -358,13 +319,6 @@ impl Machine {
         match holder {
             None => {
                 self.locks.get_mut(lock).holder = Some(pid);
-                if self.trace.enabled() {
-                    self.trace.push(TraceEvent::LockAcquired {
-                        time: self.now[pid as usize],
-                        pid,
-                        lock,
-                    });
-                }
                 true
             }
             Some(h) => {
@@ -372,13 +326,6 @@ impl Machine {
                 self.locks.get_mut(lock).waiters.push_back(pid);
                 self.state[pid as usize] = PState::Blocked;
                 self.blocked_since[pid as usize] = self.now[pid as usize];
-                if self.trace.enabled() {
-                    self.trace.push(TraceEvent::LockBlocked {
-                        time: self.now[pid as usize],
-                        pid,
-                        lock,
-                    });
-                }
                 false
             }
         }
@@ -397,11 +344,8 @@ impl Machine {
             Some(pid),
             "pid {pid} releasing a lock it does not hold"
         );
-        let handed_to = match l.waiters.pop_front() {
-            None => {
-                l.holder = None;
-                None
-            }
+        match l.waiters.pop_front() {
+            None => l.holder = None,
             Some(next) => {
                 l.holder = Some(next);
                 let wake = release_time + self.cfg.cost.lock_handoff;
@@ -411,16 +355,7 @@ impl Machine {
                 debug_assert_eq!(self.state[ni], PState::Blocked);
                 self.state[ni] = PState::Runnable;
                 self.ready.insert((self.now[ni], next));
-                Some(next)
             }
-        };
-        if self.trace.enabled() {
-            self.trace.push(TraceEvent::LockReleased {
-                time: release_time,
-                pid,
-                lock,
-                handed_to,
-            });
         }
     }
 
@@ -600,34 +535,6 @@ mod tests {
         assert_eq!(m.lock_wait()[0], 0, "uncontended holder never waits");
         assert_eq!(m.total_lock_wait(), m.lock_wait()[1]);
         m.release(1, l);
-    }
-
-    #[test]
-    fn trace_records_machine_events() {
-        let mut m = machine(2);
-        m.enable_trace(64);
-        let a = m.alloc(0, 1);
-        let l = m.new_lock(0);
-        m.access(0, a, AccessKind::Swap(5));
-        m.read_clock(0);
-        assert!(m.acquire(0, l));
-        assert!(!m.acquire(1, l));
-        m.release(0, l);
-        m.release(1, l);
-        let kinds: Vec<String> = m.trace().events().map(|e| format!("{e:?}")).collect();
-        assert!(kinds.iter().any(|k| k.contains("SWAP")), "{kinds:?}");
-        assert!(kinds.iter().any(|k| k.contains("ClockRead")));
-        assert!(kinds.iter().any(|k| k.contains("LockBlocked")));
-        assert!(kinds.iter().any(|k| k.contains("LockReleased")));
-        // Times are nondecreasing per processor.
-        let mut last = [0u64; 2];
-        for e in m.trace().events() {
-            let p = e.pid() as usize;
-            assert!(e.time() >= last[p]);
-            last[p] = e.time();
-        }
-        let dump = m.trace_mut().dump();
-        assert!(dump.lines().count() >= 6);
     }
 
     #[test]

@@ -107,7 +107,7 @@ impl SimFunnelList {
         let op_start = p.now();
         self.run_op(p, OP_INSERT, key, value).await;
         if let Some(tap) = &self.tap {
-            tap.record_insert(value, op_start, p.now());
+            tap.insert(value, op_start, p.now());
         }
     }
 
@@ -116,7 +116,7 @@ impl SimFunnelList {
         let op_start = p.now();
         let r = self.run_op(p, OP_DELETE, 0, 0).await;
         if let Some(tap) = &self.tap {
-            tap.record_delete(r.map(|(_, v)| v), op_start, p.now());
+            tap.delete_min(r.map(|(_, v)| v), op_start, p.now());
         }
         r
     }

@@ -107,7 +107,7 @@ impl SimHuntHeap {
         let op_start = p.now();
         self.insert_op(p, key, value).await;
         if let Some(tap) = &self.tap {
-            tap.record_insert(value, op_start, p.now());
+            tap.insert(value, op_start, p.now());
         }
     }
 
@@ -185,7 +185,7 @@ impl SimHuntHeap {
         let op_start = p.now();
         let r = self.delete_min_op(p).await;
         if let Some(tap) = &self.tap {
-            tap.record_delete(r.map(|(_, v)| v), op_start, p.now());
+            tap.delete_min(r.map(|(_, v)| v), op_start, p.now());
         }
         r
     }

@@ -8,6 +8,12 @@
 //! artifacts of the simulation (finding a node's lock id, which in the
 //! original C sits at a fixed struct offset) are free.
 //!
+//! Observation is free too. The algorithm reports each named step as a
+//! [`pqalgo::Event`] through `Platform::observe`, which runs host-side:
+//! it records operations into the history tap ([`crate::tap`]), stamps a
+//! relaxed delete's linearization time at its claim, and appends to the
+//! optional event trace of the differential tests.
+//!
 //! Node layout (words from the node base):
 //!
 //! ```text
@@ -22,7 +28,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use pqalgo::{InsertResult, PeekPlatform, Platform, SkipAlgo, TraceEvent};
+use pqalgo::{Event, InsertResult, PeekPlatform, Platform, SkipAlgo};
 use pqsim::{Addr, Cycles, LockId, Machine, Pcg32, Proc, Sim, Word, NULL};
 
 use crate::tap::HistoryTap;
@@ -55,26 +61,6 @@ fn node_words(height: usize) -> u32 {
     TOWER + 2 * height as u32
 }
 
-/// Result of an insert: the paper's code updates in place when the key is
-/// already present (its skiplist is a dictionary).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum InsertOutcome {
-    /// A new node was linked.
-    Inserted,
-    /// An existing node's value was overwritten (Figure 10 lines 12–16).
-    Updated,
-}
-
-/// Per-run bookkeeping shared by all processors (host-side, zero simulated
-/// cost — Proteus instrumentation lives outside the machine too).
-#[derive(Debug, Default)]
-pub struct SkipQueueStats {
-    /// Nodes pushed to garbage lists (physically deleted).
-    pub retired: u64,
-    /// Nodes allocated during the run.
-    pub allocated: u64,
-}
-
 /// The simulator-hosted SkipQueue.
 pub struct SimSkipQueue {
     head: Addr,
@@ -91,15 +77,14 @@ pub struct SimSkipQueue {
     /// virtual, so reuse is unnecessary; the paper's reclamation *protocol*
     /// (registry + stamped garbage lists) is what we model.
     garbage: Rc<RefCell<Vec<(Addr, u32, Cycles)>>>,
-    stats: Rc<RefCell<SkipQueueStats>>,
     /// Optional history sink. Strict mode stamps at serialization points
     /// (insert: the `timeStamp` clock value; delete: the initial
     /// `getTime()` read); relaxed mode stamps at operation boundaries.
     /// See [`crate::tap`].
     tap: Option<HistoryTap>,
-    /// Optional decision-trace sink (host-side, zero simulated cost) for the
+    /// Optional event-trace sink (host-side, zero simulated cost) for the
     /// cross-runtime differential tests; see [`Self::with_trace`].
-    trace: Option<Rc<RefCell<Vec<TraceEvent>>>>,
+    trace: Option<Rc<RefCell<Vec<Event<u64>>>>>,
 }
 
 impl SimSkipQueue {
@@ -139,7 +124,6 @@ impl SimSkipQueue {
             registry,
             nproc,
             garbage: Rc::new(RefCell::new(Vec::new())),
-            stats: Rc::new(RefCell::new(SkipQueueStats::default())),
             tap: None,
             trace: None,
         }
@@ -153,12 +137,13 @@ impl SimSkipQueue {
         self
     }
 
-    /// Test seam: records every logical decision (tower heights, claims,
-    /// stamps, retirements) into `sink` as platform-neutral
-    /// [`TraceEvent`]s, for the cross-runtime differential tests. Host-side
-    /// and free: attaching a trace changes no charged operation.
+    /// Test seam: records every [`Event`] the algorithm reports (heights,
+    /// stamps, claims, retirements, delete-min returns) into `sink` with
+    /// nodes flattened to their keys, for the cross-runtime differential
+    /// tests. Host-side and free: attaching a trace changes no charged
+    /// operation.
     #[doc(hidden)]
-    pub fn with_trace(mut self, sink: Rc<RefCell<Vec<TraceEvent>>>) -> Self {
+    pub fn with_trace(mut self, sink: Rc<RefCell<Vec<Event<u64>>>>) -> Self {
         self.trace = Some(sink);
         self
     }
@@ -171,15 +156,6 @@ impl SimSkipQueue {
     /// Whether the strict (time-stamped) protocol is active.
     pub fn is_strict(&self) -> bool {
         self.strict
-    }
-
-    /// Snapshot of host-side statistics.
-    pub fn stats(&self) -> SkipQueueStats {
-        let s = self.stats.borrow();
-        SkipQueueStats {
-            retired: s.retired,
-            allocated: s.allocated,
-        }
     }
 
     /// Number of nodes on garbage lists (retired, awaiting the quiescence
@@ -227,7 +203,6 @@ impl SimSkipQueue {
             let ll = p.new_lock();
             p.with_machine(|m| m.mem.poke(level_lock_addr(node, lvl), Word::from(ll)));
         }
-        self.stats.borrow_mut().allocated += 1;
         node
     }
 
@@ -252,14 +227,11 @@ impl SimSkipQueue {
 
     /// Inserts `(key, value)` (Figure 10). `key` must lie strictly between
     /// the sentinels. Updates the value in place if the key already exists.
-    pub async fn insert(&self, p: &Proc, key: u64, value: u64) -> InsertOutcome {
+    pub async fn insert(&self, p: &Proc, key: u64, value: u64) -> InsertResult {
         assert!(key > KEY_NEG_INF && key < KEY_POS_INF, "key out of range");
         let op = SimOp::new(self, p);
         op.input.set((key, value));
-        match self.algo().insert(&op).await {
-            InsertResult::Inserted => InsertOutcome::Inserted,
-            InsertResult::Updated => InsertOutcome::Updated,
-        }
+        self.algo().insert(&op).await
     }
 
     /// Deletes and returns the minimum (Figure 11), or `None` for EMPTY.
@@ -450,7 +422,6 @@ impl Clone for SimSkipQueue {
             registry: self.registry,
             nproc: self.nproc,
             garbage: Rc::clone(&self.garbage),
-            stats: Rc::clone(&self.stats),
             tap: self.tap.clone(),
             trace: self.trace.clone(),
         }
@@ -491,19 +462,6 @@ impl<'a> SimOp<'a> {
             out: Cell::new((0, 0)),
         }
     }
-
-    /// Host-side key peek for decision traces (free: traces must not change
-    /// the charged sequence). Sentinel keys are already the flattened
-    /// `0`/`u64::MAX` the trace vocabulary wants.
-    fn trace_key(&self, node: Addr) -> u64 {
-        self.p.with_machine(|m| m.mem.peek(node + KEY))
-    }
-
-    fn trace(&self, make: impl FnOnce() -> TraceEvent) {
-        if let Some(t) = &self.q.trace {
-            t.borrow_mut().push(make());
-        }
-    }
 }
 
 impl Platform for SimOp<'_> {
@@ -513,26 +471,21 @@ impl Platform for SimOp<'_> {
     type Ctx = SimCtx;
 
     // The simulator keeps the paper's exact shape: dictionary insert,
-    // victim re-found by key, payload read before the unlink, and a relaxed
-    // mode that never touches the (charged) stamp word.
+    // victim re-found by key, and a relaxed mode that never touches the
+    // (charged) stamp word.
     const DICT_INSERT: bool = true;
     const REFIND_VICTIM: bool = true;
-    const EAGER_PAYLOAD_FIRST: bool = true;
     const RELAXED_CLAIM_READS_STAMP: bool = false;
 
-    fn op_begin(&self) -> SimCtx {
-        let t = self.p.now();
-        SimCtx {
-            op_start: t,
-            invoked: t,
-        }
-    }
-
-    async fn enter(&self, _ctx: &mut SimCtx) {
+    async fn enter(&self) -> SimCtx {
         // §3: "Each processor registers the time it has entered the
         // structure in a special place in shared memory."
         let t = self.p.now();
         self.p.write(self.q.registry + self.p.pid(), t).await;
+        SimCtx {
+            op_start: t,
+            invoked: t,
+        }
     }
 
     async fn exit(&self, _ctx: &mut SimCtx) {
@@ -547,7 +500,6 @@ impl Platform for SimOp<'_> {
         // Lines 17–19, placed after the dictionary check to preserve the
         // historical RNG draw order (figure CSVs are byte-compared).
         let height = self.p.random_level(self.q.p_level, self.q.max_level);
-        self.trace(|| TraceEvent::Height(height));
         let node = self.q.alloc_node(self.p, skey, self.input.get().1, height);
         (node, height)
     }
@@ -564,25 +516,13 @@ impl Platform for SimOp<'_> {
         self.p.write(node + VALUE, self.input.get().1).await;
     }
 
-    async fn store_stamp(&self, _ctx: &SimCtx, node: Addr) {
+    async fn store_stamp(&self, node: Addr) {
         if self.q.strict {
             let t = self.p.read_clock().await;
             self.p.write(node + TIMESTAMP, t).await;
         } else {
             // Relaxed variant (§5.4): no stamping; mark as visible.
             self.p.write(node + TIMESTAMP, 0).await;
-        }
-        self.trace(|| TraceEvent::Stamp(self.input.get().0));
-    }
-
-    fn record_insert(&self, ctx: &SimCtx, _node: Addr) {
-        if let Some(tap) = &self.q.tap {
-            // The insert counts as responded once the stamp write has
-            // *landed*: only then is the node guaranteed visible to every
-            // later delete-min scan (the stamp's clock value is read a
-            // little earlier, but a scan racing the write still sees
-            // MAX_TIME and legally skips the node).
-            tap.record_insert(self.input.get().1, ctx.op_start, self.p.now());
         }
     }
 
@@ -635,11 +575,6 @@ impl Platform for SimOp<'_> {
         t
     }
 
-    fn relaxed_delete_time(&self, _ctx: &mut SimCtx) -> u64 {
-        // `invoked` stays at the operation start until the claim SWAP.
-        MAX_TIME
-    }
-
     async fn load_stamp(&self, node: Addr) -> u64 {
         self.p.read(node + TIMESTAMP).await
     }
@@ -652,21 +587,14 @@ impl Platform for SimOp<'_> {
         self.p.swap(node + DELETED, 1).await != 0
     }
 
-    fn note_claim(&self, ctx: &mut SimCtx, node: Addr) {
-        if !self.q.strict {
-            ctx.invoked = self.p.now();
-        }
-        self.trace(|| TraceEvent::Claim(self.trace_key(node)));
-    }
-
-    async fn take_payload(&self, _ctx: &mut SimCtx, node: Addr) {
+    async fn take_payload(&self, node: Addr) {
         // Lines 11–13: save the value and key.
         let value = self.p.read(node + VALUE).await;
         let key = self.p.read(node + KEY).await;
         self.out.set((key, value));
     }
 
-    fn victim_search_key(&self, _ctx: &SimCtx, _victim: Addr) -> u64 {
+    fn victim_search_key(&self, _victim: Addr) -> u64 {
         self.out.get().0
     }
 
@@ -679,25 +607,38 @@ impl Platform for SimOp<'_> {
         // exact-predecessor identity the native queue asserts need not hold.
     }
 
-    async fn retire_one(&self, _ctx: &SimCtx, victim: Addr, height: usize) {
-        self.trace(|| TraceEvent::Retire(self.trace_key(victim)));
+    async fn retire_one(&self, victim: Addr, height: usize) {
         self.p.work(8); // local bookkeeping for the garbage-list push
         self.q
             .garbage
             .borrow_mut()
             .push((victim, node_words(height), self.p.now()));
-        self.q.stats.borrow_mut().retired += 1;
     }
 
-    fn record_delete(&self, ctx: &SimCtx) {
+    fn observe(&self, ctx: &mut SimCtx, event: Event<Addr>) {
+        let now = self.p.now();
         if let Some(tap) = &self.q.tap {
-            tap.record_delete(Some(self.out.get().1), ctx.invoked, self.p.now());
+            match event {
+                // The insert counts as responded once the stamp write has
+                // *landed*: only then is the node guaranteed visible to
+                // every later delete-min scan (the stamp's clock value is
+                // read a little earlier, but a scan racing the write still
+                // sees MAX_TIME and legally skips the node).
+                Event::Stamp(_) => tap.insert(self.input.get().1, ctx.op_start, now),
+                Event::Deleted => tap.delete_min(Some(self.out.get().1), ctx.invoked, now),
+                Event::Empty => tap.delete_min(None, ctx.invoked, now),
+                _ => {}
+            }
         }
-    }
-
-    fn record_delete_empty(&self, ctx: &SimCtx) {
-        if let Some(tap) = &self.q.tap {
-            tap.record_delete(None, ctx.invoked, self.p.now());
+        if matches!(event, Event::Claim(_)) && !self.q.strict {
+            // A relaxed delete linearizes at its claim SWAP (see `SimCtx`).
+            ctx.invoked = now;
+        }
+        if let Some(trace) = &self.q.trace {
+            // A host-side key peek: free, so tracing charges nothing.
+            // Sentinel keys are already the flattened `0`/`u64::MAX`.
+            let event = event.map(|node| self.p.with_machine(|m| m.mem.peek(node + KEY)));
+            trace.borrow_mut().push(event);
         }
     }
 }
@@ -755,7 +696,7 @@ mod tests {
         let vals: Vec<u64> = (0..5).map(|i| sim.read_word(out + 2 * i + 1)).collect();
         assert_eq!(vals, vec![10, 20, 50, 70, 90]);
         assert_eq!(q.check_invariants(&sim), 0);
-        assert_eq!(q.stats().retired, 5);
+        assert_eq!(q.garbage_len(), 5);
     }
 
     #[test]
@@ -797,8 +738,8 @@ mod tests {
         sim.spawn(move |p| async move {
             let a = q2.insert(&p, 7, 1).await;
             let b = q2.insert(&p, 7, 2).await;
-            p.write(out, (a == InsertOutcome::Inserted) as u64).await;
-            p.write(out + 1, (b == InsertOutcome::Updated) as u64).await;
+            p.write(out, (a == InsertResult::Inserted) as u64).await;
+            p.write(out + 1, (b == InsertResult::Updated) as u64).await;
             let (_, v) = q2.delete_min(&p).await.unwrap();
             p.write(out + 2, v).await;
         });
@@ -950,7 +891,8 @@ mod tests {
     #[test]
     fn collector_reclaims_quiesced_nodes() {
         let mut sim = new_sim(3); // 2 workers + 1 collector
-        let q = SimSkipQueue::create(&sim, 8, true);
+        let events = Rc::new(RefCell::new(Vec::new()));
+        let q = SimSkipQueue::create(&sim, 8, true).with_trace(Rc::clone(&events));
         let done = Rc::new(std::cell::Cell::new(0u32));
         let freed = Rc::new(std::cell::Cell::new(0u64));
         for t in 0..2u64 {
@@ -974,8 +916,13 @@ mod tests {
             });
         }
         sim.run();
+        let retired = events
+            .borrow()
+            .iter()
+            .filter(|e| matches!(e, Event::Retire(_)))
+            .count() as u64;
         assert_eq!(q.garbage_len(), 0, "collector drains all garbage");
-        assert_eq!(freed.get(), q.stats().retired, "every retired node freed");
+        assert_eq!(freed.get(), retired, "every retired node freed");
         assert!(freed.get() >= 90, "most deletes succeeded: {}", freed.get());
     }
 
@@ -1007,16 +954,19 @@ mod tests {
 
     #[test]
     fn trace_sink_is_invisible() {
-        // Observation must be invisible: the host-side decision-trace sink
+        // Observation must be invisible: the host-side event-trace sink
         // used by the cross-runtime differential tests charges no simulated
         // cost, so identical seeds with and without it attached must give
-        // identical layouts and final times.
-        fn run(traced: bool) -> (Vec<u64>, u64) {
+        // identical layouts and final times. Relaxed mode also runs the
+        // claim-time `invoked` stamp, the one observation that writes the
+        // operation's context.
+        fn run(strict: bool, traced: bool) -> (Vec<u64>, u64) {
             let mut sim = Sim::new(SimConfig::new(4).with_seed(77));
+            let q = SimSkipQueue::create(&sim, 10, strict);
             let q = if traced {
-                SimSkipQueue::create(&sim, 10, true).with_trace(Rc::new(RefCell::new(Vec::new())))
+                q.with_trace(Rc::new(RefCell::new(Vec::new())))
             } else {
-                SimSkipQueue::create(&sim, 10, true)
+                q
             };
             for t in 0..4u64 {
                 let q2 = q.clone();
@@ -1034,14 +984,16 @@ mod tests {
             let r = sim.run();
             (q.keys_in_order(&sim), r.final_time)
         }
-        assert_eq!(run(false), run(true));
+        for strict in [true, false] {
+            assert_eq!(run(strict, false), run(strict, true), "strict {strict}");
+        }
     }
 
     #[test]
     fn trace_records_logical_decisions_in_op_order() {
-        // One processor, three inserts and two deletes: the decision trace
-        // must show one Height and one Stamp per insert and one Claim (plus
-        // the eager Retire) per delete, with the claimed keys in order.
+        // One processor, three inserts, two deletes and one EMPTY: the
+        // trace shows one Height and one Stamp per insert, and Claim,
+        // Retire and Deleted per delete, with the claimed keys in order.
         let mut sim = Sim::new(SimConfig::new(1).with_seed(5));
         let sink = Rc::new(RefCell::new(Vec::new()));
         let q = SimSkipQueue::create(&sim, 8, true).with_trace(Rc::clone(&sink));
@@ -1052,38 +1004,41 @@ mod tests {
             }
             assert_eq!(q2.delete_min(&p).await, Some((10, 10)));
             assert_eq!(q2.delete_min(&p).await, Some((20, 20)));
+            assert_eq!(q2.delete_min(&p).await, Some((30, 30)));
+            assert_eq!(q2.delete_min(&p).await, None);
         });
         sim.run();
-        let trace = sink.borrow();
-        let heights = trace
+        // Heights are random draws; keep only their position in the stream.
+        let trace: Vec<Event<u64>> = sink
+            .borrow()
             .iter()
-            .filter(|e| matches!(e, TraceEvent::Height(_)))
-            .count();
-        let stamps: Vec<u64> = trace
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Stamp(k) => Some(*k),
-                _ => None,
+            .map(|e| match e {
+                Event::Height(_) => Event::Height(0),
+                e => *e,
             })
             .collect();
-        let claims: Vec<u64> = trace
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Claim(k) => Some(*k),
-                _ => None,
-            })
-            .collect();
-        let retires: Vec<u64> = trace
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Retire(k) => Some(*k),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(heights, 3);
-        assert_eq!(stamps, [30, 10, 20]);
-        assert_eq!(claims, [10, 20]);
-        assert_eq!(retires, [10, 20]);
+        use Event::*;
+        assert_eq!(
+            trace,
+            [
+                Height(0),
+                Stamp(30),
+                Height(0),
+                Stamp(10),
+                Height(0),
+                Stamp(20),
+                Claim(10),
+                Retire(10),
+                Deleted,
+                Claim(20),
+                Retire(20),
+                Deleted,
+                Claim(30),
+                Retire(30),
+                Deleted,
+                Empty,
+            ]
+        );
     }
 
     #[test]

@@ -55,7 +55,7 @@ impl HistoryTap {
     }
 
     /// Records a completed insert of `value` over `[invoked, responded]`.
-    pub fn record_insert(&self, value: u64, invoked: Cycles, responded: Cycles) {
+    pub fn insert(&self, value: u64, invoked: Cycles, responded: Cycles) {
         debug_assert!(invoked <= responded);
         self.inner.borrow_mut().push(Op::Insert {
             value,
@@ -66,7 +66,7 @@ impl HistoryTap {
 
     /// Records a completed delete-min (`None` = EMPTY) over
     /// `[invoked, responded]`.
-    pub fn record_delete(&self, value: Option<u64>, invoked: Cycles, responded: Cycles) {
+    pub fn delete_min(&self, value: Option<u64>, invoked: Cycles, responded: Cycles) {
         debug_assert!(invoked <= responded);
         self.inner.borrow_mut().push(Op::DeleteMin {
             value,
@@ -104,10 +104,10 @@ mod tests {
     fn tap_accumulates_and_takes() {
         let tap = HistoryTap::new();
         assert!(tap.is_empty());
-        tap.record_insert(5, 1, 2);
+        tap.insert(5, 1, 2);
         let tap2 = tap.clone(); // clones share the sink
-        tap2.record_delete(Some(5), 3, 4);
-        tap.record_delete(None, 5, 6);
+        tap2.delete_min(Some(5), 3, 4);
+        tap.delete_min(None, 5, 6);
         assert_eq!(tap.len(), 3);
         let h = tap.take();
         assert_eq!(h.len(), 3);

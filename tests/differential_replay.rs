@@ -4,15 +4,17 @@
 //! the native queue and on the simulated machine when both replay the same
 //! serial schedule. Tower heights are the one source of randomness, so the
 //! simulator's draws are recorded and forced onto the native queue via its
-//! height script; after that, per-operation results and the platform-neutral
-//! decision-trace event streams (heights, claims, stamps, retirements) must
-//! match event for event.
+//! height script; after that, per-operation results and the full
+//! platform-neutral event streams (heights, stamps, claims, retirements and
+//! both delete-min returns, `Deleted` and `Empty`) must match event for
+//! event. Each stream must also account for every operation: one `Stamp`
+//! per insert and one `Deleted` or `Empty` per delete-min.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
-use pqalgo::TraceEvent;
+use pqalgo::Event;
 use pqsim::{Sim, SimConfig};
 use simpq::SimSkipQueue;
 use skipqueue::SkipQueue;
@@ -57,9 +59,12 @@ fn schedule(seed: u64, len: usize) -> Vec<Op> {
     ops
 }
 
+/// One replay's per-op delete results and event trace.
+type Replay = (Vec<Option<(u64, u64)>>, Vec<Event<u64>>);
+
 /// Replays `ops` on one simulated processor; returns per-op delete results
-/// and the decision trace (whose `Height` events drive the native replay).
-fn run_sim(ops: &[Op], strict: bool) -> (Vec<Option<(u64, u64)>>, Vec<TraceEvent>) {
+/// and the event trace (whose `Height` events drive the native replay).
+fn run_sim(ops: &[Op], strict: bool) -> Replay {
     let mut sim = Sim::new(SimConfig::new(1).with_seed(4242));
     let trace = Rc::new(RefCell::new(Vec::new()));
     let q = SimSkipQueue::create(&sim, 12, strict).with_trace(Rc::clone(&trace));
@@ -89,11 +94,7 @@ fn run_sim(ops: &[Op], strict: bool) -> (Vec<Option<(u64, u64)>>, Vec<TraceEvent
 
 /// Replays `ops` on the native queue with the simulator's tower heights
 /// forced via the height script.
-fn run_native(
-    ops: &[Op],
-    strict: bool,
-    heights: Vec<usize>,
-) -> (Vec<Option<(u64, u64)>>, Vec<TraceEvent>) {
+fn run_native(ops: &[Op], strict: bool, heights: Vec<usize>) -> Replay {
     let sink = Arc::new(Mutex::new(Vec::new()));
     let q = SkipQueue::<u64, u64>::with_params(12, 0.5, strict, 4)
         .with_height_script(heights)
@@ -113,6 +114,29 @@ fn run_native(
     (results, trace)
 }
 
+fn count(trace: &[Event<u64>], f: fn(&Event<u64>) -> bool) -> usize {
+    trace.iter().filter(|e| f(e)).count()
+}
+
+/// Every insert ends in one `Stamp` and every delete-min in one `Deleted`
+/// or `Empty`, and the schedule's drain reaches EMPTY at least once.
+fn assert_stream_is_exhaustive(trace: &[Event<u64>], ops: &[Op], runtime: &str) {
+    let inserts = ops.iter().filter(|o| matches!(o, Op::Insert(_))).count();
+    let deletes = ops.len() - inserts;
+    assert_eq!(
+        count(trace, |e| matches!(e, Event::Stamp(_))),
+        inserts,
+        "{runtime}: one Stamp per insert"
+    );
+    let empties = count(trace, |e| matches!(e, Event::Empty));
+    assert_eq!(
+        count(trace, |e| matches!(e, Event::Deleted)) + empties,
+        deletes,
+        "{runtime}: one Deleted or Empty per delete-min"
+    );
+    assert!(empties > 0, "{runtime}: the drain must return EMPTY");
+}
+
 fn assert_replay_matches(seed: u64, len: usize, strict: bool) {
     let ops = schedule(seed, len);
     let inserts = ops.iter().filter(|o| matches!(o, Op::Insert(_))).count();
@@ -120,12 +144,14 @@ fn assert_replay_matches(seed: u64, len: usize, strict: bool) {
     let heights: Vec<usize> = sim_trace
         .iter()
         .filter_map(|e| match e {
-            TraceEvent::Height(h) => Some(*h),
+            Event::Height(h) => Some(*h),
             _ => None,
         })
         .collect();
     assert_eq!(heights.len(), inserts, "one height draw per insert");
     let (native_results, native_trace) = run_native(&ops, strict, heights);
+    assert_stream_is_exhaustive(&sim_trace, &ops, "simulator");
+    assert_stream_is_exhaustive(&native_trace, &ops, "native");
 
     assert_eq!(
         sim_results, native_results,
@@ -133,7 +159,7 @@ fn assert_replay_matches(seed: u64, len: usize, strict: bool) {
     );
     assert_eq!(
         sim_trace, native_trace,
-        "decision traces diverged (seed {seed}, strict {strict})"
+        "event traces diverged (seed {seed}, strict {strict})"
     );
 }
 
@@ -142,7 +168,7 @@ fn differential_replay_eager_strict() {
     let ops = schedule(7, 300);
     let (_, trace) = run_sim(&ops, true);
     assert!(
-        trace.iter().any(|e| matches!(e, TraceEvent::Retire(_))),
+        trace.iter().any(|e| matches!(e, Event::Retire(_))),
         "eager replay must exercise the per-delete unlink"
     );
     assert_replay_matches(7, 300, true);
@@ -152,10 +178,9 @@ fn differential_replay_eager_strict() {
 fn differential_replay_eager_relaxed() {
     let ops = schedule(21, 300);
     let (_, trace) = run_sim(&ops, false);
-    let count = |f: fn(&TraceEvent) -> bool| trace.iter().filter(|e| f(e)).count();
     assert_eq!(
-        count(|e| matches!(e, TraceEvent::Claim(_))),
-        count(|e| matches!(e, TraceEvent::Retire(_))),
+        count(&trace, |e| matches!(e, Event::Claim(_))),
+        count(&trace, |e| matches!(e, Event::Retire(_))),
         "every relaxed claim must be unlinked and retired eagerly"
     );
     assert_replay_matches(21, 300, false);
