@@ -45,10 +45,8 @@ pub enum QueueUnderTest {
     /// sampling two distinct shards (shardq's fixed `c = 2`) and claiming
     /// from the one with the smaller front key, with an exact-scan
     /// fallback. Audited under the relaxed contract — integrity must
-    /// hold, and the sampling relaxation is measured as rank error. The
-    /// native elimination array is not reproduced here (it is a
-    /// contention optimization with no new shared-memory protocol on the
-    /// sim's word-level machine).
+    /// hold, and the sampling relaxation is measured as rank error. It
+    /// differs from the native policy only in routing and shard count.
     Sharded,
 }
 

@@ -13,7 +13,7 @@
 //! `perfbench` reports the score as `shardq.rank_error_mean` and
 //! `shardq.rank_error_p99` on its hold-sharded workload.
 //!
-//! [`ShardedSkipQueue`] composes three mechanisms, in one fixed
+//! [`ShardedSkipQueue`] composes two mechanisms, in one fixed
 //! configuration:
 //!
 //! * **Sharding** — `k` cache-padded strict [`SkipQueue`]s, each running
@@ -29,54 +29,43 @@
 //!   operation degrades to a scan of *all* shards, claiming from the
 //!   globally smallest front; only when a full pass observes every shard
 //!   empty does it return `None`. Emptiness is therefore exact, not
-//!   sampled: a quiescent non-empty queue never reports empty.
-//! * **Elimination** — a `delete_min` that *lost* its sampled claim race
-//!   parks briefly in a bounded elimination array (see the `elim` module
-//!   docs) with the front key it observed as a bound; a concurrent
-//!   `insert` with a key `<=` that bound hands its element over directly,
-//!   and the matched pair completes with zero skiplist traffic.
+//!   sampled: a quiescent non-empty queue never reports empty. A
+//!   `delete_min` that loses its sampled claim race takes this path too.
 //!
 //! Per-shard ordering stays strict (each shard keeps the paper's
 //! timestamp mechanism), so the only relaxation is *which* shard a
 //! claim lands on — the source of rank error is sampling, not the
 //! underlying queues.
 
-mod elim;
+#![forbid(unsafe_code)]
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crossbeam_utils::CachePadded;
-use elim::EliminationArray;
 use skipqueue::{PriorityQueue, SkipQueue};
 
-/// Spin budget for a parked deleter in the elimination array.
-const ELIM_SPINS: u32 = 128;
-
 /// Sharded multi-queue: `k` native SkipQueues behind sample-2-of-`k`
-/// delete-min and a bounded elimination array. See the [module docs](self)
+/// delete-min with an exact-scan fallback. See the [module docs](self)
 /// for the semantics.
 ///
-/// `K: Copy` because the sampling probe ([`SkipQueue::peek_min_key`]) and
-/// the elimination array both traffic in copied keys.
+/// `K: Copy` because the sampling probe ([`SkipQueue::peek_min_key`])
+/// returns a copied key.
 pub struct ShardedSkipQueue<K: Ord + Copy, V> {
     shards: Box<[CachePadded<SkipQueue<K, V>>]>,
-    elim: EliminationArray<K, V>,
     /// Claims that went through the exact-scan fallback (rare path, so a
     /// shared counter here doesn't perturb the sampled fast path).
     fallback_claims: CachePadded<AtomicU64>,
 }
 
 impl<K: Ord + Copy, V> ShardedSkipQueue<K, V> {
-    /// `shards` strict SkipQueues with round-robin insert routing and an
-    /// elimination array of one slot per shard.
+    /// `shards` strict SkipQueues with round-robin insert routing.
     pub fn new(shards: usize) -> Self {
         assert!(shards >= 1, "need at least one shard");
         Self {
             shards: (0..shards)
                 .map(|_| CachePadded::new(SkipQueue::new()))
                 .collect(),
-            elim: EliminationArray::new(shards),
             fallback_claims: CachePadded::new(AtomicU64::new(0)),
         }
     }
@@ -86,9 +75,11 @@ impl<K: Ord + Copy, V> ShardedSkipQueue<K, V> {
         self.shards.len()
     }
 
-    /// Successful elimination hand-offs so far.
+    /// Always `0`: this queue has no elimination array. Kept because
+    /// perfbench reads it for its `shardq.elim_rate` metric, which a later
+    /// change to the benchmark may drop.
     pub fn elimination_hits(&self) -> u64 {
-        self.elim.hits()
+        0
     }
 
     /// Claims served by the exact-scan fallback so far.
@@ -102,7 +93,7 @@ impl<K: Ord + Copy, V> ShardedSkipQueue<K, V> {
     }
 
     /// Total items across all shards (approximate under concurrency, exact
-    /// when quiescent; elimination never buffers items, so slots add 0).
+    /// when quiescent).
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.len()).sum()
     }
@@ -112,20 +103,16 @@ impl<K: Ord + Copy, V> ShardedSkipQueue<K, V> {
         self.len() == 0
     }
 
-    /// Inserts `value` at priority `key`: first offered to a parked
-    /// deleter whose bound admits it, otherwise routed round-robin to a
-    /// shard.
+    /// Inserts `value` at priority `key` into a shard chosen round-robin.
     pub fn insert(&self, key: K, value: V) {
-        if let Err((key, value)) = self.elim.try_eliminate(key, value) {
-            self.shards[self.route()].insert(key, value);
-        }
+        self.shards[self.route()].insert(key, value);
     }
 
     /// Removes an item of (approximately) minimum priority.
     ///
     /// Peeks two distinct shards and claims from the one with the smaller
-    /// front key; a lost race parks in the elimination array; sampled-empty
-    /// or unmatched parks fall back to [`ShardedSkipQueue::delete_min_exact`].
+    /// front key; a lost race or two sampled-empty shards fall back to
+    /// [`ShardedSkipQueue::delete_min_exact`].
     /// Returns `None` only after a full pass observed every shard empty.
     pub fn delete_min(&self) -> Option<(K, V)> {
         let k = self.shards.len();
@@ -143,13 +130,8 @@ impl<K: Ord + Copy, V> ShardedSkipQueue<K, V> {
             }
         }
 
-        if let Some((front, i)) = best {
+        if let Some((_, i)) = best {
             if let Some(kv) = self.shards[i].delete_min() {
-                return Some(kv);
-            }
-            // Lost the claim race: park where an insert with a key no
-            // larger than the front we just saw can hand over directly.
-            if let Some(kv) = self.elim.park(front, ELIM_SPINS, thread_ordinal() % k) {
                 return Some(kv);
             }
         }
@@ -264,8 +246,7 @@ thread_local! {
 }
 
 /// A stable, well-spread per-thread integer (Fibonacci-hashed TLS
-/// address) used for the round-robin offset, the elimination slot and RNG
-/// seeding.
+/// address) used for the round-robin offset and RNG seeding.
 fn thread_seed() -> u64 {
     thread_local! {
         static TOKEN: u8 = const { 0 };
@@ -335,6 +316,7 @@ mod tests {
         keys.sort_unstable();
         let got: Vec<u64> = drained.iter().map(|&(k, _)| k).collect();
         assert_eq!(got, keys);
+        assert_eq!(q.fallback_claims(), keys.len() as u64);
         q.check_invariants();
     }
 
@@ -392,7 +374,7 @@ mod tests {
     }
 
     /// The acceptance-criteria drain test: concurrent producers and
-    /// consumers over shards + elimination, then a quiescent sweep; every
+    /// consumers over the shards, then a quiescent sweep; every
     /// value inserted must come back exactly once.
     #[test]
     fn concurrent_drain_no_lost_or_duplicated_elements() {
@@ -411,8 +393,8 @@ mod tests {
                 std::thread::spawn(move || {
                     barrier.wait();
                     for i in 0..PER_THREAD {
-                        // Small key range forces claim races (and thus
-                        // elimination parks); values stay globally unique.
+                        // Small key range forces claim races; values stay
+                        // globally unique.
                         let key = (t * PER_THREAD + i) % 97;
                         q.insert(key, t * PER_THREAD + i);
                     }
@@ -457,12 +439,7 @@ mod tests {
         }
 
         let expected = (PRODUCERS as u64) * PER_THREAD;
-        assert_eq!(
-            seen.len() as u64,
-            expected,
-            "lost or duplicated elements (elim hits: {})",
-            q.elimination_hits()
-        );
+        assert_eq!(seen.len() as u64, expected, "lost or duplicated elements");
         let unique: HashSet<u64> = seen.iter().copied().collect();
         assert_eq!(unique.len() as u64, expected, "duplicated values");
         q.check_invariants();

@@ -145,8 +145,6 @@ fn shard_churn_retirement_leaks_nothing() {
 
     for round in 0..4u64 {
         {
-            // Elimination hand-offs bypass shards entirely (those payloads
-            // must drop through the consumer, not a collector).
             let q: Arc<ShardedSkipQueue<u64, Tracked>> = Arc::new(ShardedSkipQueue::new(4));
             std::thread::scope(|s| {
                 for t in 0..6u64 {
