@@ -56,7 +56,14 @@
 //!   out in insertion order. The sequence number is the clock tick the
 //!   insert's GC pin already takes (see [`gc`]), so it costs nothing extra.
 //!   This also gives the physical-delete search an exact identity to look
-//!   for.
+//!   for, so the paper's re-find of the victim by key is not needed. The
+//!   simulated queue (`simpq`) makes the same choice, tie-breaking equal
+//!   keys by node address.
+//! * The relaxed variant (§5.4) reads no time stamps, so a `delete_min`
+//!   may claim a node whose insert is still linking; it then waits on the
+//!   node lock until the insert finishes (Figure 11 line 27). The head
+//!   sentinel is born marked, so a scan routed back over it by a removed
+//!   node's backward pointer cannot claim it.
 //! * `getTime()` is a shared hardware clock on Alewife; here it is a global
 //!   atomic counter whose `fetch_add` gives unique, totally ordered stamps,
 //!   which is exactly the property Lemma 1 needs.

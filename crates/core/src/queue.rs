@@ -50,7 +50,7 @@ use std::task::{Context, Poll, Waker};
 
 use parking_lot::lock_api::RawMutex as RawMutexApi;
 
-use pqalgo::{Event, InsertResult, PeekPlatform, Platform, SkipAlgo};
+use pqalgo::{Event, PeekPlatform, Platform, SkipAlgo};
 
 use crate::gc::{Collector, RawGuard};
 use crate::node::{IKey, Node, MAX_HEIGHT};
@@ -68,7 +68,6 @@ pub struct SkipQueue<K, V> {
     head: *mut Node<K, V>,
     tail: *mut Node<K, V>,
     max_height: usize,
-    p_level: f64,
     /// Strict mode runs the paper's time-stamp mechanism; relaxed mode (§5.4)
     /// omits it and may return concurrently inserted items.
     strict: bool,
@@ -164,7 +163,7 @@ fn drive<F: std::future::Future>(fut: F) -> F::Output {
 /// the platform trait). A `delete_min` op also carries `clone_key`: the
 /// node keeps its key until it is freed, so the winner returns a clone.
 /// The GC pin lives here rather than in the algorithm's context because
-/// `insert_prepare` reads its tick as the FIFO sequence number.
+/// `new_node` reads its tick as the FIFO sequence number.
 ///
 /// SAFETY (for every raw dereference below): the algorithm only hands back
 /// node handles it reached between this platform's `enter`/`exit` hooks,
@@ -229,19 +228,7 @@ unsafe fn flat_trace_key<K, V>(key_fn: fn(&K) -> u64, node: *mut Node<K, V>) -> 
 
 impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
     type Node = *mut Node<K, V>;
-    // Search operands are node pointers too: the key (with its FIFO
-    // sequence number) lives inside the new/victim node.
-    type SearchKey = *mut Node<K, V>;
-    type Prep = *mut Node<K, V>;
     type Ctx = ();
-
-    // The native queue is a multiset (duplicate priorities get fresh
-    // nodes), already holds the victim pointer after the claim, and reads
-    // stamps for free (the `u64::MAX` filter also skips mid-insert nodes
-    // and the head sentinel in relaxed mode).
-    const DICT_INSERT: bool = false;
-    const REFIND_VICTIM: bool = false;
-    const RELAXED_CLAIM_READS_STAMP: bool = true;
 
     async fn enter(&self) {
         self.pin.set(Some(self.q.gc.enter()));
@@ -251,24 +238,13 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
         self.q.gc.exit(self.guard());
     }
 
-    fn insert_prepare(&self) -> (Self::SearchKey, Self::Prep) {
+    fn new_node(&self) -> (Self::Node, usize) {
         let (key, value) = self.input.take().expect("insert operand staged");
         let height = self.q.next_height();
         // The pin's tick is unique, and an insert that finished before this
         // one began ticked first, so equal priorities leave in FIFO order.
         let ikey = IKey::Val(key, self.guard().tick);
-        let node = Node::alloc(ikey, Some(value), height);
-        (node, node)
-    }
-
-    fn materialize(&self, prep: Self::Prep, _skey: Self::SearchKey) -> (Self::Node, usize) {
-        // SAFETY: freshly allocated in `insert_prepare`, exclusively owned
-        // until linked.
-        (prep, unsafe { (*prep).height() })
-    }
-
-    async fn update_in_place(&self, _node: Self::Node) {
-        unreachable!("native insert is multiset (DICT_INSERT = false)");
+        (Node::alloc(ikey, Some(value), height), height)
     }
 
     async fn store_stamp(&self, node: Self::Node) {
@@ -285,24 +261,14 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
 
     async fn store_next(&self, node: Self::Node, lvl: usize, to: Self::Node) {
         // SAFETY: platform contract; the algorithm holds `node`'s level
-        // lock here (locking invariant in the module docs).
+        // lock here (locking invariant in the module docs), or `node` is
+        // its insert's own node, not yet published.
         unsafe { Node::level(node, lvl).next.store(to, Ordering::Release) }
     }
 
-    async fn store_next_init(&self, node: Self::Node, lvl: usize, to: Self::Node) {
-        // SAFETY: `node` is unpublished (this insert's own); Relaxed is
-        // enough because the publishing store below it is Release.
-        unsafe { Node::level(node, lvl).next.store(to, Ordering::Relaxed) }
-    }
-
-    async fn key_lt(&self, node: Self::Node, skey: Self::SearchKey) -> bool {
+    async fn key_lt(&self, node: Self::Node, operand: Self::Node) -> bool {
         // SAFETY: platform contract; keys are compared through shared refs.
-        unsafe { (*node).key < (*skey).key }
-    }
-
-    async fn key_eq(&self, node: Self::Node, skey: Self::SearchKey) -> bool {
-        // SAFETY: platform contract.
-        unsafe { (*node).key == (*skey).key }
+        unsafe { (*node).key < (*operand).key }
     }
 
     async fn lock_level(&self, node: Self::Node, lvl: usize) {
@@ -363,10 +329,6 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
         }
     }
 
-    fn victim_search_key(&self, victim: Self::Node) -> Self::SearchKey {
-        victim
-    }
-
     async fn victim_height(&self, victim: Self::Node) -> usize {
         // SAFETY: platform contract.
         unsafe { (*victim).height() }
@@ -408,28 +370,26 @@ impl<K: Ord + Copy, V> PeekPlatform for NativeOp<'_, K, V> {
 
 impl<K: Ord, V> SkipQueue<K, V> {
     /// Creates a queue with the paper's strict (time-stamped) semantics and
-    /// default parameters: height cap 24, level probability 1/2, up to 256
-    /// threads.
+    /// default parameters: height cap 24, up to 256 threads. Towers grow
+    /// one level with probability 1/2, as in the paper.
     pub fn new() -> Self {
-        Self::with_params(DEFAULT_MAX_HEIGHT, 0.5, true, 256)
+        Self::with_params(DEFAULT_MAX_HEIGHT, true, 256)
     }
 
     /// Creates the paper's *relaxed* variant (§5.4): no time stamps, so a
     /// `delete_min` may return an item whose insert was concurrent with it.
     pub fn new_relaxed() -> Self {
-        Self::with_params(DEFAULT_MAX_HEIGHT, 0.5, false, 256)
+        Self::with_params(DEFAULT_MAX_HEIGHT, false, 256)
     }
 
     /// Full-control constructor.
     ///
     /// * `max_height` — tower cap, `1..=32`; ~log2 of the expected maximum
     ///   queue size is ideal (the paper uses exactly this "simple method").
-    /// * `p_level` — probability a tower grows another level (paper: 1/2).
     /// * `strict` — run the time-stamp ordering mechanism.
     /// * `max_threads` — bound on distinct threads ever touching the queue.
-    pub fn with_params(max_height: usize, p_level: f64, strict: bool, max_threads: usize) -> Self {
+    pub fn with_params(max_height: usize, strict: bool, max_threads: usize) -> Self {
         assert!((1..=MAX_HEIGHT).contains(&max_height));
-        assert!(p_level > 0.0 && p_level < 1.0);
         let tail = Node::alloc(IKey::PosInf, None, max_height);
         let head = Node::alloc(IKey::NegInf, None, max_height);
         // SAFETY: freshly allocated, exclusively owned here.
@@ -437,12 +397,15 @@ impl<K: Ord, V> SkipQueue<K, V> {
             for lvl in 0..max_height {
                 Node::level(head, lvl).next.store(tail, Ordering::Relaxed);
             }
+            // A removed node's backward pointer can route a delete-min scan
+            // over the head, and a relaxed scan reads no stamp: the head is
+            // born marked so its claiming SWAP always loses.
+            (*head).deleted.store(true, Ordering::Relaxed);
         }
         Self {
             head,
             tail,
             max_height,
-            p_level,
             strict,
             gc: Collector::new(max_threads),
             hooks: None,
@@ -479,20 +442,12 @@ impl<K: Ord, V> SkipQueue<K, V> {
     }
 
     fn random_height(&self) -> usize {
-        if self.p_level == 0.5 {
-            // One RNG word decides the whole tower: each consecutive set low
-            // bit is an independent p = 1/2 "grow another level" success, so
-            // `1 + trailing_ones` has exactly the right geometric law and
-            // costs one xorshift instead of one per level.
-            let h = 1 + thread_rng_next().trailing_ones() as usize;
-            return h.min(self.max_height);
-        }
-        let mut h = 1;
-        let threshold = (self.p_level * 2f64.powi(32)) as u64;
-        while h < self.max_height && (thread_rng_next() & 0xFFFF_FFFF) < threshold {
-            h += 1;
-        }
-        h
+        // One RNG word decides the whole tower: each consecutive set low bit
+        // is an independent p = 1/2 "grow another level" success, so
+        // `1 + trailing_ones` has exactly the right geometric law and costs
+        // one xorshift instead of one per level.
+        let h = 1 + thread_rng_next().trailing_ones() as usize;
+        h.min(self.max_height)
     }
 
     /// Tower height for the next insert: scripted (tests) or random.
@@ -510,8 +465,7 @@ impl<K: Ord, V> SkipQueue<K, V> {
     pub fn insert(&self, key: K, value: V) {
         let op = NativeOp::new(self);
         op.input.set(Some((key, value)));
-        let res = drive(self.algo().insert(&op));
-        debug_assert_eq!(res, InsertResult::Inserted);
+        drive(self.algo().insert(&op));
         self.gc.add_len(op.guard(), 1);
     }
 
@@ -997,7 +951,7 @@ mod tests {
 
     #[test]
     fn min_height_queue_works() {
-        let mut q: SkipQueue<u64, ()> = SkipQueue::with_params(1, 0.5, true, 4);
+        let mut q: SkipQueue<u64, ()> = SkipQueue::with_params(1, true, 4);
         for k in [3u64, 1, 2] {
             q.insert(k, ());
         }
@@ -1045,20 +999,28 @@ mod tests {
 
     #[test]
     fn peek_min_key_eager_tracks_minimum() {
-        let q: SkipQueue<u64, u64> = SkipQueue::new();
-        assert_eq!(q.peek_min_key(), None);
-        for k in [7u64, 3, 9, 5] {
-            q.insert(k, k);
+        // Both modes: the head is born marked, so neither a strict nor a
+        // relaxed (stamp-blind) claim can take it, and probes and drains
+        // see only real entries.
+        for q in [SkipQueue::<u64, u64>::new(), SkipQueue::new_relaxed()] {
+            // SAFETY: the head lives as long as the queue.
+            assert!(unsafe { (*q.head).deleted.load(Ordering::Relaxed) });
+            assert_eq!(q.peek_min_key(), None);
+            for k in [7u64, 3, 9, 5] {
+                q.insert(k, k);
+            }
+            assert_eq!(q.peek_min_key(), Some(3));
+            q.insert(1, 1);
+            assert_eq!(q.peek_min_key(), Some(1));
+            assert_eq!(q.delete_min().map(|(k, _)| k), Some(1));
+            assert_eq!(q.peek_min_key(), Some(3));
+            // Peeking never claims: the length is untouched.
+            assert_eq!(q.len(), 4);
+            let drained: Vec<u64> = std::iter::from_fn(|| q.delete_min().map(|(k, _)| k)).collect();
+            assert_eq!(drained, [3, 5, 7, 9], "strict {}", q.is_strict());
+            assert_eq!(q.peek_min_key(), None);
+            assert_eq!(q.delete_min(), None);
         }
-        assert_eq!(q.peek_min_key(), Some(3));
-        q.insert(1, 1);
-        assert_eq!(q.peek_min_key(), Some(1));
-        assert_eq!(q.delete_min().map(|(k, _)| k), Some(1));
-        assert_eq!(q.peek_min_key(), Some(3));
-        // Peeking never claims: the length is untouched.
-        assert_eq!(q.len(), 4);
-        while q.delete_min().is_some() {}
-        assert_eq!(q.peek_min_key(), None);
     }
 
     #[test]
@@ -1088,9 +1050,9 @@ mod tests {
 
     #[test]
     fn random_height_distribution_sane() {
-        // The one-word fast path must keep the geometric(1/2) shape: about
-        // half the towers are height 1, none exceed the cap.
-        let q: SkipQueue<u64, ()> = SkipQueue::with_params(8, 0.5, true, 4);
+        // The one-word draw must keep the geometric(1/2) shape: about half
+        // the towers are height 1, none exceed the cap.
+        let q: SkipQueue<u64, ()> = SkipQueue::with_params(8, true, 4);
         let mut counts = [0usize; 9];
         for _ in 0..20_000 {
             let h = q.random_height();

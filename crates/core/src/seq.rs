@@ -31,8 +31,6 @@ pub struct SeqSkipList<K, V> {
     free: Vec<usize>,
     len: usize,
     max_height: usize,
-    /// Geometric level parameter (probability of growing one level).
-    p_level: f64,
     rng_state: u64,
     seq: u64,
 }
@@ -46,12 +44,12 @@ impl<K: Ord, V> Default for SeqSkipList<K, V> {
 impl<K: Ord, V> SeqSkipList<K, V> {
     /// Creates an empty queue with the default height cap (32 levels).
     pub fn new() -> Self {
-        Self::with_params(32, 0.5, 0x9E37_79B9)
+        Self::with_params(32, 0x9E37_79B9)
     }
 
-    /// Creates an empty queue with an explicit height cap, level
-    /// probability, and RNG seed.
-    pub fn with_params(max_height: usize, p_level: f64, seed: u64) -> Self {
+    /// Creates an empty queue with an explicit height cap and RNG seed.
+    /// Towers grow one level with probability 1/2.
+    pub fn with_params(max_height: usize, seed: u64) -> Self {
         assert!((1..=64).contains(&max_height));
         let head = SeqNode {
             key: None,
@@ -63,21 +61,21 @@ impl<K: Ord, V> SeqSkipList<K, V> {
             free: Vec::new(),
             len: 0,
             max_height,
-            p_level,
             rng_state: seed | 1,
             seq: 0,
         }
     }
 
     fn random_height(&mut self) -> usize {
-        // xorshift64*; deterministic given the seed.
+        // xorshift64*; deterministic given the seed. A tower grows while the
+        // low 32 bits fall below half their range.
+        const HALF: u64 = (u32::MAX / 2) as u64;
         let mut h = 1;
         loop {
             self.rng_state ^= self.rng_state << 13;
             self.rng_state ^= self.rng_state >> 7;
             self.rng_state ^= self.rng_state << 17;
-            let threshold = (self.p_level * (u32::MAX as f64)) as u64;
-            if h >= self.max_height || (self.rng_state & 0xFFFF_FFFF) >= threshold {
+            if h >= self.max_height || (self.rng_state & 0xFFFF_FFFF) >= HALF {
                 return h;
             }
             h += 1;
@@ -353,7 +351,7 @@ mod tests {
 
     #[test]
     fn max_height_one_degenerates_to_list() {
-        let mut q = SeqSkipList::with_params(1, 0.5, 7);
+        let mut q = SeqSkipList::with_params(1, 7);
         for k in [3u64, 1, 2] {
             q.insert(k, ());
         }
@@ -384,7 +382,7 @@ mod tests {
 
     #[test]
     fn large_insert_then_drain_is_sorted() {
-        let mut q = SeqSkipList::with_params(16, 0.5, 99);
+        let mut q = SeqSkipList::with_params(16, 99);
         let mut state = 1u64;
         let mut keys = Vec::new();
         for _ in 0..5_000 {

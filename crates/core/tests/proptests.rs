@@ -29,8 +29,7 @@ proptest! {
         ops in ops_strategy(500),
         max_height in 1usize..16,
     ) {
-        let q: SkipQueue<u32, u32> =
-            SkipQueue::with_params(max_height, 0.5, true, 4);
+        let q: SkipQueue<u32, u32> = SkipQueue::with_params(max_height, true, 4);
         let mut model: BinaryHeap<Reverse<u32>> = BinaryHeap::new();
         for op in &ops {
             match op {
@@ -60,25 +59,6 @@ proptest! {
             prop_assert_eq!(k, priority);
             prop_assert_eq!(v, expect, "FIFO among equal priorities");
         }
-    }
-
-    #[test]
-    fn level_probability_changes_shape_not_behaviour(
-        keys in prop::collection::vec(any::<u32>(), 1..200),
-        p_num in 1u32..10,
-    ) {
-        let p = f64::from(p_num) / 10.5;
-        let q: SkipQueue<u32, ()> = SkipQueue::with_params(12, p, true, 2);
-        for &k in &keys {
-            q.insert(k, ());
-        }
-        let mut expect = keys.clone();
-        expect.sort_unstable();
-        let mut got = Vec::new();
-        while let Some((k, _)) = q.delete_min() {
-            got.push(k);
-        }
-        prop_assert_eq!(got, expect);
     }
 
     #[test]

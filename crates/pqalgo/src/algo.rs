@@ -4,11 +4,11 @@
 //! Control flow, lock protocol, claim filtering and the eager physical
 //! delete live here; *what the individual steps cost and compile to* lives
 //! in the platform implementations (`crates/core` native, `crates/simpq`
-//! simulated). The hook sequence each path issues is exactly the charged-op
-//! sequence of the original hand-written simulator transcription, so the
-//! simulator's figures are bit-identical across the unification.
+//! simulated). The hook sequence each path issues is the simulator's
+//! charged-op sequence, so a change here moves the simulated figures, and
+//! `results/` is regenerated with it.
 
-use crate::platform::{Event, InsertResult, PeekPlatform, Platform};
+use crate::platform::{Event, PeekPlatform, Platform};
 
 /// Tower-height ceiling shared by both runtimes (the native queue caps
 /// construction at 32, the simulator at 30).
@@ -30,26 +30,20 @@ pub struct SkipAlgo<N> {
 }
 
 impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
-    /// The paper's `getLock` (Figure 9): starting from `node1` (a node with
-    /// key < `skey` reached under the caller's GC registration), lock the
-    /// level-`lvl` pointer of the node with the largest key smaller than
-    /// `skey`, re-validating (and hand-over-hand advancing) after each
-    /// acquisition. On return the caller holds the result's level lock.
-    async fn get_lock<P: Platform<Node = N>>(
-        &self,
-        p: &P,
-        mut node1: N,
-        skey: P::SearchKey,
-        lvl: usize,
-    ) -> N {
+    /// The paper's `getLock` (Figure 9): starting from `node1` (a node
+    /// ordered before `own`, reached under the caller's GC registration),
+    /// lock the level-`lvl` pointer of the last node ordered before `own`,
+    /// re-validating (and hand-over-hand advancing) after each acquisition.
+    /// On return the caller holds the result's level lock.
+    async fn get_lock<P: Platform<Node = N>>(&self, p: &P, mut node1: N, own: N, lvl: usize) -> N {
         let mut node2 = p.load_next(node1, lvl).await;
-        while p.key_lt(node2, skey).await {
+        while p.key_lt(node2, own).await {
             node1 = node2;
             node2 = p.load_next(node1, lvl).await;
         }
         p.lock_level(node1, lvl).await;
         let mut node2 = p.load_next(node1, lvl).await;
-        while p.key_lt(node2, skey).await {
+        while p.key_lt(node2, own).await {
             // Something changed before we got the lock: move it forward.
             p.unlock_level(node1, lvl).await;
             node1 = node2;
@@ -59,14 +53,14 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
         node1
     }
 
-    /// Finds, for every level, the node with the largest key smaller than
-    /// `skey` (Figure 10 lines 1–9 / Figure 11 lines 15–22).
-    async fn search<P: Platform<Node = N>>(&self, p: &P, skey: P::SearchKey) -> [N; MAX_HEIGHT] {
+    /// Finds, for every level, the last node ordered before `own` (Figure 10
+    /// lines 1–9 / Figure 11 lines 15–22).
+    async fn search<P: Platform<Node = N>>(&self, p: &P, own: N) -> [N; MAX_HEIGHT] {
         let mut preds = [self.head; MAX_HEIGHT];
         let mut node1 = self.head;
         for lvl in (0..self.max_height).rev() {
             let mut node2 = p.load_next(node1, lvl).await;
-            while p.key_lt(node2, skey).await {
+            while p.key_lt(node2, own).await {
                 node1 = node2;
                 node2 = p.load_next(node1, lvl).await;
             }
@@ -75,43 +69,26 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
         preds
     }
 
-    /// Inserts the operand staged in the platform (Figure 10).
-    pub async fn insert<P: Platform<Node = N>>(&self, p: &P) -> InsertResult {
+    /// Inserts the operand staged in the platform (Figure 10). The queue is
+    /// a multiset: every insert links a new node, so the dictionary update
+    /// of lines 10–16 has no counterpart.
+    pub async fn insert<P: Platform<Node = N>>(&self, p: &P) {
         let mut ctx = p.enter().await;
-        let (skey, prep) = p.insert_prepare();
-        let preds = self.search(p, skey).await;
-
-        // Lines 10–16 (dictionary platforms only): lock the level-0
-        // predecessor; if the key exists, update its value in place.
-        let mut pred0 = preds[0];
-        if P::DICT_INSERT {
-            pred0 = self.get_lock(p, preds[0], skey, 0).await;
-            let node2 = p.load_next(pred0, 0).await;
-            if p.key_eq(node2, skey).await {
-                p.update_in_place(node2).await;
-                p.unlock_level(pred0, 0).await;
-                p.exit(&mut ctx).await;
-                return InsertResult::Updated;
-            }
-        }
-
-        // Lines 17–20: make the node, lock it whole so no deleter can start
-        // unlinking it while its upper levels are still being connected.
-        let (node, height) = p.materialize(prep, skey);
+        // Lines 17–19: make the node first; the search orders against it.
+        let (node, height) = p.new_node();
         p.observe(&mut ctx, Event::Height(height));
+        let preds = self.search(p, node).await;
+
+        // Line 20: lock the node whole so no deleter can start unlinking it
+        // while its upper levels are still being connected.
         p.lock_node(node).await;
 
         // Lines 21–27: connect bottom-to-top, each level under the
-        // predecessor's re-validated lock (on dictionary platforms level 0
-        // is already locked from the check above).
+        // predecessor's re-validated lock.
         for (lvl, &level_pred) in preds.iter().enumerate().take(height) {
-            let pred = if P::DICT_INSERT && lvl == 0 {
-                pred0
-            } else {
-                self.get_lock(p, level_pred, skey, lvl).await
-            };
+            let pred = self.get_lock(p, level_pred, node, lvl).await;
             let nxt = p.load_next(pred, lvl).await;
-            p.store_next_init(node, lvl, nxt).await;
+            p.store_next(node, lvl, nxt).await;
             p.store_next(pred, lvl, node).await;
             p.unlock_level(pred, lvl).await;
         }
@@ -122,7 +99,6 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
         p.store_stamp(node).await;
         p.observe(&mut ctx, Event::Stamp(node));
         p.exit(&mut ctx).await;
-        InsertResult::Inserted
     }
 
     /// Removes the minimum entry (Figure 11) into the platform's result
@@ -138,7 +114,10 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
         };
 
         // Lines 2–10: walk the bottom level, SWAP-claiming the first
-        // unmarked node stamped before we began.
+        // unmarked node stamped before we began. Relaxed mode has no stamps
+        // to read, so it may claim a node whose insert is still linking; the
+        // node lock below waits that insert out. The sentinels are born
+        // marked, so a scan routed back over the head cannot claim it.
         let mut node1 = p.load_next(self.head, 0).await;
         let victim = loop {
             if node1 == self.tail {
@@ -146,11 +125,7 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
                 p.observe(&mut ctx, Event::Empty);
                 return false;
             }
-            let eligible = if self.strict || P::RELAXED_CLAIM_READS_STAMP {
-                p.load_stamp(node1).await < time
-            } else {
-                true
-            };
+            let eligible = !self.strict || p.load_stamp(node1).await < time;
             if eligible && !p.swap_deleted(node1).await {
                 p.observe(&mut ctx, Event::Claim(node1));
                 break node1;
@@ -162,39 +137,30 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
         // unique owner of the payload.
         p.take_payload(victim).await;
 
-        // Pugh's physical delete. Lines 15–22: re-find the predecessors.
-        let skey = p.victim_search_key(victim);
-        let preds = self.search(p, skey).await;
-        // Lines 24–26 (platforms searching by key): make sure we hold a
-        // pointer to the node with the key.
-        let mut node2 = preds[0];
-        if P::REFIND_VICTIM {
-            while !p.key_eq(node2, skey).await {
-                node2 = p.load_next(node2, 0).await;
-            }
-        } else {
-            node2 = victim;
-        }
+        // Pugh's physical delete. Lines 15–22: find the predecessors. The
+        // search orders against the victim itself, so it stops right before
+        // it and lines 24–26's re-find by key has nothing to do.
+        let preds = self.search(p, victim).await;
         // Line 27: lock the whole node (waits out an in-flight insert).
-        p.lock_node(node2).await;
+        p.lock_node(victim).await;
         // Lines 28–35: unlink top-down, two locks per level, pointing the
         // removed node's forward pointer *backwards* at its predecessor so
         // concurrent traversals escape gracefully (§2).
-        let height = p.victim_height(node2).await;
+        let height = p.victim_height(victim).await;
         for lvl in (0..height).rev() {
-            let pred = self.get_lock(p, preds[lvl], skey, lvl).await;
-            p.debug_check_pred(pred, node2, lvl);
-            p.lock_level(node2, lvl).await;
-            let nxt = p.load_next(node2, lvl).await;
+            let pred = self.get_lock(p, preds[lvl], victim, lvl).await;
+            p.debug_check_pred(pred, victim, lvl);
+            p.lock_level(victim, lvl).await;
+            let nxt = p.load_next(victim, lvl).await;
             p.store_next(pred, lvl, nxt).await;
-            p.store_next(node2, lvl, pred).await;
-            p.unlock_level(node2, lvl).await;
+            p.store_next(victim, lvl, pred).await;
+            p.unlock_level(victim, lvl).await;
             p.unlock_level(pred, lvl).await;
         }
         // Lines 36–37: release and retire to the stamped garbage list (§3).
-        p.unlock_node(node2).await;
-        p.observe(&mut ctx, Event::Retire(node2));
-        p.retire_one(node2, height).await;
+        p.unlock_node(victim).await;
+        p.observe(&mut ctx, Event::Retire(victim));
+        p.retire_one(victim, height).await;
         p.exit(&mut ctx).await;
         p.observe(&mut ctx, Event::Deleted);
         true
@@ -214,9 +180,9 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
                 break None;
             }
             // The backward-pointer trick can land the walk on the head (an
-            // unlinked node's forward pointers name its predecessors); step
-            // forward again rather than report the sentinel.
-            if node1 != self.head && !p.load_deleted(node1).await {
+            // unlinked node's forward pointers name its predecessors); the
+            // head is born marked, so the walk steps forward again.
+            if !p.load_deleted(node1).await {
                 break p.peek_key(node1).await;
             }
             node1 = p.load_next(node1, 0).await;

@@ -28,4 +28,4 @@ mod algo;
 mod platform;
 
 pub use algo::{SkipAlgo, MAX_HEIGHT};
-pub use platform::{Event, InsertResult, PeekPlatform, Platform};
+pub use platform::{Event, PeekPlatform, Platform};

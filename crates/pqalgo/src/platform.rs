@@ -34,10 +34,10 @@
 //! native queue flattens events into its test trace, and the simulator feeds
 //! its history tap and trace without charging a cycle.
 //!
-//! The differences between the two original hand-written implementations
-//! that are *not* pure cost accounting are captured by the associated
-//! `const`s (dictionary-style insert, victim re-find, relaxed-mode stamp
-//! filtering); each is documented on its item.
+//! Both runtimes run the same semantics: the queue is a multiset, so an
+//! insert always links a new node and equal priorities are separate
+//! entries, and a delete's physical unlink searches for its own victim
+//! node. The platforms differ only in what a hook costs.
 
 /// One named step of the algorithm, reported through [`Platform::observe`]
 /// as it happens. `N` is the platform's node handle; the differential tests
@@ -76,22 +76,12 @@ impl<N> Event<N> {
     }
 }
 
-/// Result of [`crate::SkipAlgo::insert`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum InsertResult {
-    /// A new node was linked.
-    Inserted,
-    /// An existing node's value was overwritten in place (only on platforms
-    /// with [`Platform::DICT_INSERT`]; Figure 10 lines 12–16).
-    Updated,
-}
-
 /// Execution substrate for the shared SkipQueue algorithm.
 ///
 /// Key/value ownership never crosses this trait: operands are staged into
 /// the platform (which is instantiated per call on both runtimes) before an
 /// operation starts, and results are read back out of it afterwards. The
-/// algorithm itself only manipulates `Node` handles and `SearchKey`s.
+/// algorithm itself only manipulates `Node` handles.
 ///
 /// `async` here does not imply an executor requirement: the native platform
 /// returns only immediately-ready futures and is driven by a single poll.
@@ -100,33 +90,11 @@ pub trait Platform {
     /// Handle to a skiplist node: a raw pointer (native) or a simulated
     /// machine address (simulator).
     type Node: Copy + Eq + core::fmt::Debug;
-    /// Search operand compared against node keys by `key_lt`/`key_eq`: the
-    /// new/victim node handle itself (native — keys live in nodes) or the
-    /// raw key word (simulator).
-    type SearchKey: Copy;
-    /// Token carried from [`Platform::insert_prepare`] to
-    /// [`Platform::materialize`] (native: the pre-allocated node).
-    type Prep;
     /// Per-operation state, written only by [`Platform::enter`],
     /// [`Platform::delete_read_clock`] and [`Platform::observe`]: nothing
     /// (native) or operation start/invocation times for the history tap
     /// (simulator).
     type Ctx;
-
-    /// Insert is dictionary-style (Figure 10 lines 10–16): lock the level-0
-    /// predecessor first, and update in place when the key already exists.
-    /// The simulator keeps the paper's exact shape; the native queue is a
-    /// multiset (duplicate priorities get fresh nodes) and skips the check.
-    const DICT_INSERT: bool;
-    /// The eager physical delete re-finds the victim by key along the bottom
-    /// level after the predecessor search (Figure 11 lines 24–26). The
-    /// native queue already holds the victim pointer and skips the walk.
-    const REFIND_VICTIM: bool;
-    /// Relaxed-mode (§5.4) delete still reads the stamp and skips nodes
-    /// stamped `MAX` (native: the read is free and filters mid-insert nodes
-    /// and the head). The simulator charges for every read, so its relaxed
-    /// mode skips the read entirely and relies on the claiming SWAP.
-    const RELAXED_CLAIM_READS_STAMP: bool;
 
     /// Starts an operation with its GC entry registration (§3): native
     /// quiescence-slot pin, simulator entry-time registry write (which also
@@ -137,19 +105,12 @@ pub trait Platform {
 
     // ---- insert ----
 
-    /// Stages the insert: returns the search operand and the prep token.
-    /// Native draws the tower height, assigns the FIFO sequence number and
-    /// allocates the node here; the simulator just surfaces the key (its
-    /// height draw and allocation sit after the dictionary check, in
-    /// [`Platform::materialize`], preserving RNG draw order).
-    fn insert_prepare(&self) -> (Self::SearchKey, Self::Prep);
-    /// Produces the linked-to-be node and its height (Figure 10 lines
-    /// 17–19). Simulator: draws the height and allocates/initializes the
-    /// node with charged cost.
-    fn materialize(&self, prep: Self::Prep, skey: Self::SearchKey) -> (Self::Node, usize);
-    /// Dictionary hit: overwrite `node`'s value in place (only reachable
-    /// when [`Platform::DICT_INSERT`]).
-    async fn update_in_place(&self, node: Self::Node);
+    /// Makes the insert's node from the operand staged in the platform and
+    /// draws its tower height (Figure 10 lines 17–19), before the search:
+    /// the search compares node keys against the new node itself. Native
+    /// also takes the node's FIFO sequence number from the GC pin here; the
+    /// simulator charges the allocation and initialization.
+    fn new_node(&self) -> (Self::Node, usize);
     /// Publishes the time stamp (Figure 10 line 29): native stores a global
     /// clock tick; the simulator reads the simulated clock (strict) or
     /// writes `0` (relaxed).
@@ -160,16 +121,16 @@ pub trait Platform {
     /// Loads `node`'s level-`lvl` forward pointer (`Acquire` / charged READ).
     async fn load_next(&self, node: Self::Node, lvl: usize) -> Self::Node;
     /// Stores `node`'s level-`lvl` forward pointer (`Release` / charged
-    /// WRITE). Caller holds the level lock.
+    /// WRITE). Caller holds the level lock, or `node` is its own insert's
+    /// node, not yet published.
     async fn store_next(&self, node: Self::Node, lvl: usize, to: Self::Node);
-    /// Like [`Platform::store_next`] but for a node not yet published
-    /// (native relaxes the ordering; the simulator charges the same WRITE).
-    async fn store_next_init(&self, node: Self::Node, lvl: usize, to: Self::Node);
-    /// `node.key < skey` — the search/`getLock` advance test. The simulator
-    /// charges one READ of the node's key per call.
-    async fn key_lt(&self, node: Self::Node, skey: Self::SearchKey) -> bool;
-    /// `node.key == skey` — the dictionary check and victim re-find test.
-    async fn key_eq(&self, node: Self::Node, skey: Self::SearchKey) -> bool;
+    /// Whether `node` orders before `operand`, the operation's own node
+    /// (the new node of an insert, the victim of a delete) — the search and
+    /// `getLock` advance test. Entries are totally ordered, so equal
+    /// priorities are separate nodes: native by `(key, FIFO sequence)`, the
+    /// simulator by `(key, address)`. The simulator charges one READ of
+    /// `node`'s key per call; the operand's own key is local.
+    async fn key_lt(&self, node: Self::Node, operand: Self::Node) -> bool;
 
     // ---- locks ----
 
@@ -184,10 +145,11 @@ pub trait Platform {
 
     // ---- delete-min ----
 
-    /// Strict mode's `getTime()` (Figure 11 line 1). Relaxed mode skips it
-    /// and considers every stamp below `u64::MAX`.
+    /// Strict mode's `getTime()` (Figure 11 line 1). Relaxed mode (§5.4)
+    /// has no time stamps: it skips this and [`Platform::load_stamp`].
     async fn delete_read_clock(&self, ctx: &mut Self::Ctx) -> u64;
-    /// Loads `node`'s time stamp (`u64::MAX` = insert incomplete).
+    /// Loads `node`'s time stamp (`u64::MAX` = insert incomplete); strict
+    /// claims only.
     async fn load_stamp(&self, node: Self::Node) -> u64;
     /// Loads `node`'s deleted mark (the front-key probe's filter).
     async fn load_deleted(&self, node: Self::Node) -> bool;
@@ -197,14 +159,11 @@ pub trait Platform {
     /// Saves the claimed node's key/value into the platform's result slot
     /// (Figure 11 lines 11–13). The winner of the SWAP is the unique caller.
     async fn take_payload(&self, node: Self::Node);
-    /// Search operand that re-finds `victim`'s predecessors (native: the
-    /// victim handle; simulator: the key word saved by `take_payload`).
-    fn victim_search_key(&self, victim: Self::Node) -> Self::SearchKey;
     /// `victim`'s tower height (free on native; a charged READ of the level
     /// word on the simulator).
     async fn victim_height(&self, victim: Self::Node) -> usize;
-    /// Debug-build check that `pred` points at `victim` at `lvl` (native
-    /// asserts; the simulator cannot cheaply, and skips it).
+    /// Debug-build check that `pred` points at `victim` at `lvl`. Free on
+    /// both runtimes (the simulator peeks host-side).
     fn debug_check_pred(&self, pred: Self::Node, victim: Self::Node, lvl: usize);
     /// Retires one eagerly-unlinked node to the collector / garbage list.
     async fn retire_one(&self, victim: Self::Node, height: usize);

@@ -291,9 +291,8 @@ impl QueueHandle {
 }
 
 /// Unique key: random priority prefix, disambiguated by `(pid, seq)` so
-/// no two inserts of a run ever collide (the SkipQueue's update-in-place
-/// path would retire a value without a delete, and histories need unique
-/// values).
+/// no two inserts of a run ever collide (histories identify items by
+/// value, and every workload uses the key as its value).
 fn make_key(prefix: u64, pid: Pid, seq: u64) -> u64 {
     debug_assert!(pid < 64 && seq < (1 << 16));
     ((prefix + 1) << 22) | (u64::from(pid) << 16) | seq

@@ -9,11 +9,12 @@
 //! that regenerates every figure of the paper.
 //!
 //! * [`skipqueue::SimSkipQueue`] — the SkipQueue: the shared [`pqalgo`]
-//!   algorithm (the `getLock` re-validation loop, the update-in-place path
-//!   for an existing key, the `timeStamp` mechanism, the backward-pointer
-//!   delete) instantiated on a platform where every hook is a charged
-//!   machine operation; the *relaxed* variant of §5.4 is a constructor
-//!   flag. The native `skipqueue` crate runs the same algorithm.
+//!   algorithm (the `getLock` re-validation loop, the `timeStamp`
+//!   mechanism, the backward-pointer delete) instantiated on a platform
+//!   where every hook is a charged machine operation; the *relaxed* variant
+//!   of §5.4 is a constructor flag. Like the native `skipqueue` crate,
+//!   which runs the same algorithm, it is a multiset: equal keys are
+//!   separate entries.
 //! * [`heap::SimHuntHeap`] — the Hunt et al. heap: size lock, per-node
 //!   locks and tags, bit-reversed bottom-up insertions, top-down deletions.
 //! * [`funnellist::SimFunnelList`] — the sorted linked list with a

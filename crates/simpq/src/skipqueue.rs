@@ -24,11 +24,16 @@
 //!
 //! Sentinel keys: the head holds [`KEY_NEG_INF`] (0) and the tail
 //! [`KEY_POS_INF`] (`u64::MAX`); user keys must lie strictly between.
+//!
+//! The queue is a multiset, like the native one: every insert links a new
+//! node, and nodes order by `(key, address)`, so equal keys are separate
+//! entries. The address tie-break is local arithmetic and costs nothing;
+//! each comparison still charges one READ of the other node's key.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use pqalgo::{Event, InsertResult, PeekPlatform, Platform, SkipAlgo};
+use pqalgo::{Event, PeekPlatform, Platform, SkipAlgo};
 use pqsim::{Addr, Cycles, LockId, Machine, Pcg32, Proc, Sim, Word, NULL};
 
 use crate::tap::HistoryTap;
@@ -66,7 +71,6 @@ pub struct SimSkipQueue {
     head: Addr,
     tail: Addr,
     max_level: usize,
-    p_level: f64,
     strict: bool,
     /// Entry-time registry (one word per processor), the paper's §3 GC
     /// bookkeeping: processors post their entry time on the way in and
@@ -119,7 +123,6 @@ impl SimSkipQueue {
             head,
             tail,
             max_level,
-            p_level: 0.5,
             strict,
             registry,
             nproc,
@@ -226,12 +229,13 @@ impl SimSkipQueue {
     }
 
     /// Inserts `(key, value)` (Figure 10). `key` must lie strictly between
-    /// the sentinels. Updates the value in place if the key already exists.
-    pub async fn insert(&self, p: &Proc, key: u64, value: u64) -> InsertResult {
+    /// the sentinels. Always links a new node: an existing equal key stays
+    /// a separate entry.
+    pub async fn insert(&self, p: &Proc, key: u64, value: u64) {
         assert!(key > KEY_NEG_INF && key < KEY_POS_INF, "key out of range");
         let op = SimOp::new(self, p);
         op.input.set((key, value));
-        self.algo().insert(&op).await
+        self.algo().insert(&op).await;
     }
 
     /// Deletes and returns the minimum (Figure 11), or `None` for EMPTY.
@@ -347,7 +351,7 @@ impl SimSkipQueue {
         // rightmost node per level.
         let mut right = vec![self.head; self.max_level];
         for &k in &keys {
-            let h = rng.random_level(self.p_level, self.max_level);
+            let h = rng.random_level(0.5, self.max_level);
             let home = rng.gen_range_u64(u64::from(self.nproc.max(1))) as pqsim::Pid;
             let node = Self::alloc_node_oob(&mut m, k, k ^ 0x5A5A, h, home);
             for (lvl, r) in right.iter_mut().enumerate().take(h) {
@@ -359,19 +363,19 @@ impl SimSkipQueue {
         keys
     }
 
-    /// Out-of-band structural check: every level sorted, marked nodes
-    /// absent, bottom-level count of *live* nodes returned. For quiescent
-    /// states (tests).
+    /// Out-of-band structural check: every level sorted by `(key,
+    /// address)`, marked nodes absent, bottom-level count of *live* nodes
+    /// returned. For quiescent states (tests).
     pub fn check_invariants(&self, sim: &Sim) -> usize {
         let m = sim.machine();
         let m = m.borrow();
         let mut count = 0;
         for lvl in (0..self.max_level).rev() {
-            let mut prev_key = KEY_NEG_INF;
+            let mut prev = (KEY_NEG_INF, self.head);
             let mut cur = m.mem.peek(next_addr(self.head, lvl)) as Addr;
             while cur != self.tail {
                 let k = m.mem.peek(cur + KEY);
-                assert!(k > prev_key, "level {lvl} out of order");
+                assert!((k, cur) > prev, "level {lvl} out of order");
                 assert!(
                     (m.mem.peek(cur + LEVEL) as usize) > lvl,
                     "node linked above its height"
@@ -384,7 +388,7 @@ impl SimSkipQueue {
                 if lvl == 0 {
                     count += 1;
                 }
-                prev_key = k;
+                prev = (k, cur);
                 cur = m.mem.peek(next_addr(cur, lvl)) as Addr;
                 assert_ne!(cur, NULL, "broken chain at level {lvl}");
             }
@@ -417,7 +421,6 @@ impl Clone for SimSkipQueue {
             head: self.head,
             tail: self.tail,
             max_level: self.max_level,
-            p_level: self.p_level,
             strict: self.strict,
             registry: self.registry,
             nproc: self.nproc,
@@ -466,16 +469,7 @@ impl<'a> SimOp<'a> {
 
 impl Platform for SimOp<'_> {
     type Node = Addr;
-    type SearchKey = u64;
-    type Prep = ();
     type Ctx = SimCtx;
-
-    // The simulator keeps the paper's exact shape: dictionary insert,
-    // victim re-found by key, and a relaxed mode that never touches the
-    // (charged) stamp word.
-    const DICT_INSERT: bool = true;
-    const REFIND_VICTIM: bool = true;
-    const RELAXED_CLAIM_READS_STAMP: bool = false;
 
     async fn enter(&self) -> SimCtx {
         // §3: "Each processor registers the time it has entered the
@@ -492,28 +486,11 @@ impl Platform for SimOp<'_> {
         self.p.write(self.q.registry + self.p.pid(), MAX_TIME).await;
     }
 
-    fn insert_prepare(&self) -> (u64, ()) {
-        (self.input.get().0, ())
-    }
-
-    fn materialize(&self, _prep: (), skey: u64) -> (Addr, usize) {
-        // Lines 17–19, placed after the dictionary check to preserve the
-        // historical RNG draw order (figure CSVs are byte-compared).
-        let height = self.p.random_level(self.q.p_level, self.q.max_level);
-        let node = self.q.alloc_node(self.p, skey, self.input.get().1, height);
-        (node, height)
-    }
-
-    async fn update_in_place(&self, node: Addr) {
-        // Update-in-place silently retires the old value, which has no
-        // Definition-1 vocabulary; recorded workloads must use unique keys
-        // so this path stays untaken.
-        assert!(
-            self.q.tap.is_none(),
-            "history taps require unique keys (update-in-place hit for key {})",
-            self.input.get().0
-        );
-        self.p.write(node + VALUE, self.input.get().1).await;
+    fn new_node(&self) -> (Addr, usize) {
+        // Lines 17–19: draw the height and allocate the node.
+        let (key, value) = self.input.get();
+        let height = self.p.random_level(0.5, self.q.max_level);
+        (self.q.alloc_node(self.p, key, value, height), height)
     }
 
     async fn store_stamp(&self, node: Addr) {
@@ -534,18 +511,12 @@ impl Platform for SimOp<'_> {
         self.p.write(next_addr(node, lvl), Word::from(to)).await;
     }
 
-    async fn store_next_init(&self, node: Addr, lvl: usize, to: Addr) {
-        // The simulated machine has no ordering distinction to relax: a
-        // pre-publication store costs the same charged WRITE.
-        self.p.write(next_addr(node, lvl), Word::from(to)).await;
-    }
-
-    async fn key_lt(&self, node: Addr, skey: u64) -> bool {
-        self.p.read(node + KEY).await < skey
-    }
-
-    async fn key_eq(&self, node: Addr, skey: u64) -> bool {
-        self.p.read(node + KEY).await == skey
+    async fn key_lt(&self, node: Addr, operand: Addr) -> bool {
+        let key = self.p.read(node + KEY).await;
+        // The operand is this operation's own node: its key is local (a
+        // free host-side peek), and the address tie-break is arithmetic.
+        let own = self.p.with_machine(|m| m.mem.peek(operand + KEY));
+        (key, node) < (own, operand)
     }
 
     async fn lock_level(&self, node: Addr, lvl: usize) {
@@ -594,17 +565,14 @@ impl Platform for SimOp<'_> {
         self.out.set((key, value));
     }
 
-    fn victim_search_key(&self, _victim: Addr) -> u64 {
-        self.out.get().0
-    }
-
     async fn victim_height(&self, victim: Addr) -> usize {
         self.p.read(victim + LEVEL).await as usize
     }
 
-    fn debug_check_pred(&self, _pred: Addr, _victim: Addr, _lvl: usize) {
-        // The simulator re-finds the victim by key (REFIND_VICTIM), so the
-        // exact-predecessor identity the native queue asserts need not hold.
+    fn debug_check_pred(&self, pred: Addr, victim: Addr, lvl: usize) {
+        // A host-side peek: free, so the check charges nothing.
+        let next = self.p.with_machine(|m| m.mem.peek(next_addr(pred, lvl))) as Addr;
+        debug_assert_eq!(next, victim, "pred must point at victim");
     }
 
     async fn retire_one(&self, victim: Addr, height: usize) {
@@ -730,24 +698,40 @@ mod tests {
     }
 
     #[test]
-    fn update_path_overwrites_value() {
-        let mut sim = new_sim(1);
+    fn duplicate_keys_are_kept() {
+        // The queue is a multiset: equal keys are separate entries, linked
+        // in address order, and each comes out once with its own value.
+        let mut sim = new_sim(2);
         let q = SimSkipQueue::create(&sim, 8, true);
-        let out = sim.alloc_shared(3);
         let q2 = q.clone();
         sim.spawn(move |p| async move {
-            let a = q2.insert(&p, 7, 1).await;
-            let b = q2.insert(&p, 7, 2).await;
-            p.write(out, (a == InsertResult::Inserted) as u64).await;
-            p.write(out + 1, (b == InsertResult::Updated) as u64).await;
-            let (_, v) = q2.delete_min(&p).await.unwrap();
-            p.write(out + 2, v).await;
+            for (k, v) in [(7u64, 1u64), (7, 2), (3, 3), (7, 4)] {
+                q2.insert(&p, k, v).await;
+            }
         });
         sim.run();
-        assert_eq!(sim.read_word(out), 1);
-        assert_eq!(sim.read_word(out + 1), 1);
-        assert_eq!(sim.read_word(out + 2), 2);
+        assert_eq!(q.check_invariants(&sim), 4);
+        assert_eq!(q.keys_in_order(&sim), [3, 7, 7, 7]);
+        let out = sim.alloc_shared(8);
+        let q2 = q.clone();
+        sim.spawn(move |p| async move {
+            for i in 0..4u32 {
+                let (k, v) = q2.delete_min(&p).await.unwrap();
+                p.write(out + 2 * i, k).await;
+                p.write(out + 2 * i + 1, v).await;
+            }
+        });
+        sim.run();
+        let got: Vec<(u64, u64)> = (0..4)
+            .map(|i| (sim.read_word(out + 2 * i), sim.read_word(out + 2 * i + 1)))
+            .collect();
+        assert_eq!(got[0], (3, 3));
+        assert!(got[1..].iter().all(|&(k, _)| k == 7));
+        let mut values: Vec<u64> = got[1..].iter().map(|&(_, v)| v).collect();
+        values.sort_unstable();
+        assert_eq!(values, [1, 2, 4], "every duplicate kept once");
         assert_eq!(q.check_invariants(&sim), 0);
+        assert_eq!(q.garbage_len(), 4);
     }
 
     #[test]

@@ -28,9 +28,7 @@
 //!
 //! Histories identify items by their *value* word and order them by it, so
 //! recorded workloads must use unique values that sort like their keys
-//! (simplest: `value == key` with unique keys; unique keys also keep the
-//! SkipQueue off its update-in-place path, which overwrites a value
-//! without a matching delete and is outside the Definition-1 vocabulary).
+//! (simplest: `value == key` with unique keys).
 
 use std::cell::RefCell;
 use std::rc::Rc;

@@ -29,13 +29,18 @@ fn value_of(key: u64) -> u64 {
     key ^ 0xABCD
 }
 
-/// Deterministic mixed schedule (fixed LCG, no host randomness): unique
-/// keys that jump around (so fresh smaller keys land in front of the
-/// current minimum), insert-biased so the structure grows and shrinks,
-/// and a full drain at the end so the EMPTY path replays too.
+/// Deterministic mixed schedule (fixed LCG, no host randomness): keys
+/// that jump around (so fresh smaller keys land in front of the current
+/// minimum), insert-biased so the structure grows and shrinks, and a full
+/// drain at the end so the EMPTY path replays too. Every fifth insert
+/// repeats the previous key: both queues are multisets, so a duplicate is
+/// a separate entry, and since values and events depend on keys alone the
+/// two runtimes still agree op for op.
 fn schedule(seed: u64, len: usize) -> Vec<Op> {
     let mut x = seed | 1;
     let mut counter = 1u64;
+    let mut inserts = 0usize;
+    let mut key = 0;
     let mut live = 0usize;
     let mut ops = Vec::with_capacity(len + 8);
     for _ in 0..len {
@@ -45,8 +50,13 @@ fn schedule(seed: u64, len: usize) -> Vec<Op> {
         if live == 0 || (x >> 33) % 10 < 6 {
             let bucket = (x >> 17) % 97;
             counter += 1;
-            // Unique: distinct `counter` per op, bucket spread multiplies out.
-            ops.push(Op::Insert(1 + bucket * 100_000 + counter));
+            inserts += 1;
+            // Every fifth insert keeps the previous key; the rest are
+            // unique: distinct `counter` per op, bucket spread multiplies out.
+            if !inserts.is_multiple_of(5) {
+                key = 1 + bucket * 100_000 + counter;
+            }
+            ops.push(Op::Insert(key));
             live += 1;
         } else {
             ops.push(Op::DeleteMin);
@@ -96,7 +106,7 @@ fn run_sim(ops: &[Op], strict: bool) -> Replay {
 /// forced via the height script.
 fn run_native(ops: &[Op], strict: bool, heights: Vec<usize>) -> Replay {
     let sink = Arc::new(Mutex::new(Vec::new()));
-    let q = SkipQueue::<u64, u64>::with_params(12, 0.5, strict, 4)
+    let q = SkipQueue::<u64, u64>::with_params(12, strict, 4)
         .with_height_script(heights)
         .with_trace(Arc::clone(&sink), |k| *k);
     let mut results = Vec::new();
@@ -139,7 +149,16 @@ fn assert_stream_is_exhaustive(trace: &[Event<u64>], ops: &[Op], runtime: &str) 
 
 fn assert_replay_matches(seed: u64, len: usize, strict: bool) {
     let ops = schedule(seed, len);
-    let inserts = ops.iter().filter(|o| matches!(o, Op::Insert(_))).count();
+    let keys: Vec<u64> = ops
+        .iter()
+        .filter_map(|o| match o {
+            Op::Insert(k) => Some(*k),
+            Op::DeleteMin => None,
+        })
+        .collect();
+    let inserts = keys.len();
+    let distinct: std::collections::BTreeSet<u64> = keys.into_iter().collect();
+    assert!(distinct.len() < inserts, "the schedule must repeat keys");
     let (sim_results, sim_trace) = run_sim(&ops, strict);
     let heights: Vec<usize> = sim_trace
         .iter()

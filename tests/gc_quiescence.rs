@@ -196,7 +196,7 @@ fn many_queues_per_thread_do_not_interfere() {
 fn slot_table_exhaustion_is_loud() {
     // 1-thread queue used from 2 threads must panic with a clear message,
     // not corrupt memory.
-    let q: Arc<SkipQueue<u64, u64>> = Arc::new(SkipQueue::with_params(8, 0.5, true, 1));
+    let q: Arc<SkipQueue<u64, u64>> = Arc::new(SkipQueue::with_params(8, true, 1));
     q.insert(1, 1);
     let q2 = Arc::clone(&q);
     let result = std::thread::spawn(move || {

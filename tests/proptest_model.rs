@@ -91,7 +91,7 @@ proptest! {
         max_height in 1usize..12,
         seed in any::<u64>(),
     ) {
-        let mut q = SeqSkipList::with_params(max_height, 0.5, seed);
+        let mut q = SeqSkipList::with_params(max_height, seed);
         for op in &ops {
             match op {
                 Some(k) => q.insert(*k, ()),
