@@ -13,7 +13,7 @@ fn main() {
     let opts = Options::from_args();
     let kinds = [
         QueueKind::SkipQueue { strict: true },
-        QueueKind::FunnelSkipQueue { strict: true },
+        QueueKind::FunnelSkipQueue,
     ];
     let rows = concurrency_figure(&opts, &kinds, 70_000, 50, 0.5);
     finish_figure(

@@ -1,6 +1,6 @@
 //! # schedtest — schedule exploration for the simulated priority queues
 //!
-//! Drives every simulator-hosted queue ([`simpq`]) through many *seeded
+//! Drives every simulator-hosted queue ([`simpq::QueueKind::ALL`]) through many *seeded
 //! schedules* — deterministic clock order, seeded random perturbation, and
 //! PCT-style priority scheduling ([`pqsim::SchedSpec`]), optionally
 //! composed with fault injection ([`pqsim::FaultSpec`]: forced-preemption
@@ -16,7 +16,8 @@
 //! | SkipQueue (relaxed)| [`histcheck::History::check_integrity`] must be clean; claims of still-in-flight inserts (condition 4) are *expected* and reported as [`ScheduleOutcome::relaxation_evidence`] |
 //! | Hunt et al. heap   | [`histcheck::History::check_integrity`] |
 //! | FunnelList         | [`histcheck::History::check_strict`]    |
-//! | Sharded ([`SHARDED_SHARDS`] strict shards, two sampled per delete-min) | [`histcheck::History::check_integrity`] must be clean; the sampling relaxation is *measured* as [`ScheduleOutcome::rank_error`] |
+//! | Funnel+SkipQueue   | [`histcheck::History::check_strict`] — the tap sits on the inner strict SkipQueue, so a combiner's delete-mins are recorded as its own |
+//! | Sharded ([`simpq::SHARDED_SHARDS`] strict shards, two sampled per delete-min) | [`histcheck::History::check_integrity`] must be clean; the sampling relaxation is *measured* as [`ScheduleOutcome::rank_error`] |
 //!
 //! Everything is a pure function of the [`ScheduleConfig`]: re-running a
 //! failing seed replays the exact schedule, bug included. The `schedtest`
@@ -25,82 +26,11 @@
 #![warn(missing_docs)]
 
 use histcheck::{History, RankSummary, Violation};
-use pqsim::{FaultSpec, Pid, Proc, SchedSpec, Sim, SimConfig, SimReport, StallSpec};
-use simpq::{HistoryTap, SimFunnelList, SimHuntHeap, SimSkipQueue};
-
-/// Which simulated queue a schedule drives.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QueueUnderTest {
-    /// The paper's SkipQueue with the timestamp protocol (Figures 9–11).
-    SkipQueueStrict,
-    /// The §5.4 relaxed SkipQueue (no stamping, no stamp test).
-    SkipQueueRelaxed,
-    /// The Hunt et al. heap.
-    HuntHeap,
-    /// The combining-funnel sorted list.
-    FunnelList,
-    /// A sharded multi-queue front-end (the simulated counterpart of the
-    /// native `shardq` crate): [`SHARDED_SHARDS`] independent strict
-    /// SkipQueues, inserts routed by processor id, `delete_min`
-    /// sampling two distinct shards (shardq's fixed `c = 2`) and claiming
-    /// from the one with the smaller front key, with an exact-scan
-    /// fallback. Audited under the relaxed contract — integrity must
-    /// hold, and the sampling relaxation is measured as rank error. It
-    /// differs from the native policy only in routing and shard count.
-    Sharded,
-}
-
-/// Shard count for [`QueueUnderTest::Sharded`].
-pub const SHARDED_SHARDS: usize = 3;
+use pqsim::{FaultSpec, Pid, SchedSpec, Sim, SimConfig, SimReport, StallSpec};
+use simpq::{HistoryTap, QueueKind, SimQueue, Sizes};
 
 /// Skiplist tower cap shared by every SkipQueue-backed variant.
 pub const SKIP_MAX_LEVEL: usize = 12;
-
-/// Unified constructor for the SkipQueue-backed roster entries (and each
-/// shard of [`QueueUnderTest::Sharded`]): one place holds the tower cap, so
-/// the variants differ *only* in the `strict` knob handed to the shared
-/// algorithm.
-fn make_skipqueue(sim: &Sim, strict: bool, tap: &HistoryTap) -> SimSkipQueue {
-    SimSkipQueue::create(sim, SKIP_MAX_LEVEL, strict).with_tap(tap.clone())
-}
-
-impl QueueUnderTest {
-    /// All five queues, in reporting order.
-    pub const ALL: [QueueUnderTest; 5] = [
-        QueueUnderTest::SkipQueueStrict,
-        QueueUnderTest::SkipQueueRelaxed,
-        QueueUnderTest::HuntHeap,
-        QueueUnderTest::FunnelList,
-        QueueUnderTest::Sharded,
-    ];
-
-    /// Stable command-line name.
-    pub fn name(self) -> &'static str {
-        match self {
-            QueueUnderTest::SkipQueueStrict => "strict",
-            QueueUnderTest::SkipQueueRelaxed => "relaxed",
-            QueueUnderTest::HuntHeap => "heap",
-            QueueUnderTest::FunnelList => "funnel",
-            QueueUnderTest::Sharded => "sharded",
-        }
-    }
-
-    /// Inverse of [`QueueUnderTest::name`].
-    pub fn parse(s: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|q| q.name() == s)
-    }
-}
-
-/// The variant roster as a space-separated string — the single source of
-/// truth for usage text, sweep output, and docs (derived from
-/// [`QueueUnderTest::ALL`], so adding a variant updates every listing).
-pub fn roster() -> String {
-    QueueUnderTest::ALL
-        .iter()
-        .map(|q| q.name())
-        .collect::<Vec<_>>()
-        .join(" ")
-}
 
 /// The synthetic program every processor runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -137,7 +67,7 @@ impl Workload {
 #[derive(Clone, Debug)]
 pub struct ScheduleConfig {
     /// Queue under test.
-    pub queue: QueueUnderTest,
+    pub queue: QueueKind,
     /// Per-processor program shape.
     pub workload: Workload,
     /// Number of worker processors (max 64).
@@ -159,7 +89,7 @@ pub struct ScheduleConfig {
 impl ScheduleConfig {
     /// A small default-shape schedule (8 processors, 24 ops each, key
     /// range 48) with the deterministic scheduler and no faults.
-    pub fn new(queue: QueueUnderTest, workload: Workload, seed: u64) -> Self {
+    pub fn new(queue: QueueKind, workload: Workload, seed: u64) -> Self {
         Self {
             queue,
             workload,
@@ -190,7 +120,7 @@ pub struct ScheduleOutcome {
     /// Rank-error summary of the recorded history
     /// ([`histcheck::History::rank_summary`]): how far each returned value
     /// was from the live minimum, ordered by the deletes' recorded stamps.
-    /// The measured relaxation of [`QueueUnderTest::Sharded`]. Computed
+    /// The measured relaxation of [`QueueKind::Sharded`]. Computed
     /// for every queue, but note the strict queues stamp a delete at its
     /// clock read (search start) rather than at the claim, so two
     /// overlapping strict deletes whose linearization order differs from
@@ -198,96 +128,6 @@ pub struct ScheduleOutcome {
     /// the number is an upper bound there, exact only under claim-point
     /// stamps (see `histcheck::rank`'s module docs).
     pub rank_error: RankSummary,
-}
-
-#[derive(Clone)]
-enum QueueHandle {
-    Skip(SimSkipQueue),
-    Heap(SimHuntHeap),
-    Funnel(SimFunnelList),
-    /// `shards` strict SkipQueues sharing one history tap; see
-    /// [`QueueUnderTest::Sharded`].
-    Sharded(Vec<SimSkipQueue>),
-}
-
-impl QueueHandle {
-    async fn insert(&self, p: &Proc, key: u64) {
-        // Histories identify and order items by value, so value == key.
-        match self {
-            QueueHandle::Skip(q) => {
-                q.insert(p, key, key).await;
-            }
-            QueueHandle::Heap(q) => q.insert(p, key, key).await,
-            QueueHandle::Funnel(q) => q.insert(p, key, key).await,
-            QueueHandle::Sharded(shards) => {
-                // Processor-id routing: deterministic, and adjacent pids
-                // land on different shards so sampling has work to do.
-                let i = p.pid() as usize % shards.len();
-                shards[i].insert(p, key, key).await;
-            }
-        }
-    }
-
-    async fn delete_min(&self, p: &Proc) -> Option<(u64, u64)> {
-        match self {
-            QueueHandle::Skip(q) => q.delete_min(p).await,
-            QueueHandle::Heap(q) => q.delete_min(p).await,
-            QueueHandle::Funnel(q) => q.delete_min(p).await,
-            QueueHandle::Sharded(shards) => Self::sharded_delete_min(shards, p).await,
-        }
-    }
-
-    /// The native `shardq` delete-min policy: peek two distinct shards
-    /// (shardq's fixed `c = 2`, drawn with its formula) with non-claiming
-    /// probes, claim from the smaller front, fall back to an exact scan
-    /// of all shards when sampling found nothing (or lost its claim
-    /// race). A shard-level `delete_min` that races to empty records a
-    /// `None` into the shared history — a true observation of that shard,
-    /// harmless to the relaxed-contract audit (integrity ignores EMPTY
-    /// deletes, and so does the rank auditor).
-    async fn sharded_delete_min(shards: &[SimSkipQueue], p: &Proc) -> Option<(u64, u64)> {
-        let k = shards.len();
-        let (a, b) = if k == 2 {
-            (0, 1)
-        } else {
-            let r = p.gen_range_u64((k * (k - 1)) as u64) as usize;
-            (r % k, (r % k + 1 + r / k) % k)
-        };
-        let mut best: Option<(u64, usize)> = None;
-        for i in [a, b] {
-            if let Some(key) = shards[i].peek_min_key(p).await {
-                if best.is_none_or(|(bk, _)| key < bk) {
-                    best = Some((key, i));
-                }
-            }
-        }
-        if let Some((_, i)) = best {
-            if let Some(kv) = shards[i].delete_min(p).await {
-                return Some(kv);
-            }
-        }
-        // Exact-scan fallback: claim the globally smallest front; only a
-        // full pass of empty shards means EMPTY. Fronts that race away
-        // between the probe and the claim imply another processor made
-        // progress, so rescanning preserves system-wide progress.
-        loop {
-            let mut fronts: Vec<(u64, usize)> = Vec::with_capacity(k);
-            for (i, s) in shards.iter().enumerate() {
-                if let Some(key) = s.peek_min_key(p).await {
-                    fronts.push((key, i));
-                }
-            }
-            if fronts.is_empty() {
-                return None;
-            }
-            fronts.sort_unstable();
-            for &(_, i) in &fronts {
-                if let Some(kv) = shards[i].delete_min(p).await {
-                    return Some(kv);
-                }
-            }
-        }
-    }
 }
 
 /// Unique key: random priority prefix, disambiguated by `(pid, seq)` so
@@ -298,9 +138,9 @@ fn make_key(prefix: u64, pid: Pid, seq: u64) -> u64 {
     ((prefix + 1) << 22) | (u64::from(pid) << 16) | seq
 }
 
-fn spawn_workers(sim: &mut Sim, cfg: &ScheduleConfig, handle: QueueHandle) {
+fn spawn_workers(sim: &mut Sim, cfg: &ScheduleConfig, queue: SimQueue) {
     for _ in 0..cfg.nproc {
-        let q = handle.clone();
+        let q = queue.clone();
         let workload = cfg.workload;
         let ops = cfg.ops_per_proc;
         let key_range = cfg.key_range;
@@ -315,7 +155,7 @@ fn spawn_workers(sim: &mut Sim, cfg: &ScheduleConfig, handle: QueueHandle) {
                         } else {
                             let key = make_key(p.gen_range_u64(key_range), p.pid(), seq);
                             seq += 1;
-                            q.insert(&p, key).await;
+                            q.insert(&p, key, key).await;
                         }
                     }
                 }
@@ -324,7 +164,7 @@ fn spawn_workers(sim: &mut Sim, cfg: &ScheduleConfig, handle: QueueHandle) {
                     for _ in 0..fills {
                         let key = make_key(p.gen_range_u64(key_range), p.pid(), seq);
                         seq += 1;
-                        q.insert(&p, key).await;
+                        q.insert(&p, key, key).await;
                         p.work(p.gen_range_u64(60));
                     }
                     for _ in fills..ops {
@@ -339,10 +179,12 @@ fn spawn_workers(sim: &mut Sim, cfg: &ScheduleConfig, handle: QueueHandle) {
 
 /// Audits a recorded history per the queue's contract. Returns
 /// `(contract_violations, relaxation_evidence)`; see [`ScheduleOutcome`].
-pub fn audit(queue: QueueUnderTest, history: &History) -> (Vec<Violation>, Vec<Violation>) {
+pub fn audit(queue: QueueKind, history: &History) -> (Vec<Violation>, Vec<Violation>) {
     match queue {
-        QueueUnderTest::SkipQueueStrict => (history.check_strict(), Vec::new()),
-        QueueUnderTest::SkipQueueRelaxed => {
+        QueueKind::SkipQueue { strict: true }
+        | QueueKind::FunnelList
+        | QueueKind::FunnelSkipQueue => (history.check_strict(), Vec::new()),
+        QueueKind::SkipQueue { strict: false } => {
             let integrity = history.check_integrity();
             // The relaxed tap stamps delete-mins at their claim SWAP, so a
             // condition-4 hit proves the claimed node's insert had not
@@ -357,9 +199,8 @@ pub fn audit(queue: QueueUnderTest, history: &History) -> (Vec<Violation>, Vec<V
                 .collect();
             (integrity, evidence)
         }
-        QueueUnderTest::HuntHeap => (history.check_integrity(), Vec::new()),
-        QueueUnderTest::FunnelList => (history.check_strict(), Vec::new()),
-        QueueUnderTest::Sharded => {
+        QueueKind::HuntHeap => (history.check_integrity(), Vec::new()),
+        QueueKind::Sharded => {
             // Relaxed contract: no element may be lost, duplicated, or
             // invented, but the returned key need not be the minimum. The
             // strict per-shard stamps make condition-4 departures
@@ -393,24 +234,14 @@ pub fn run_schedule(cfg: &ScheduleConfig) -> ScheduleOutcome {
             .with_faults(cfg.faults.clone()),
     );
     let tap = HistoryTap::new();
-    let handle = match cfg.queue {
-        QueueUnderTest::SkipQueueStrict => QueueHandle::Skip(make_skipqueue(&sim, true, &tap)),
-        QueueUnderTest::SkipQueueRelaxed => QueueHandle::Skip(make_skipqueue(&sim, false, &tap)),
-        QueueUnderTest::HuntHeap => {
-            // Worst case every operation is an insert.
-            let cap = cfg.nproc as usize * cfg.ops_per_proc as usize + 1;
-            QueueHandle::Heap(SimHuntHeap::create(&sim, cap).with_tap(tap.clone()))
-        }
-        QueueUnderTest::FunnelList => QueueHandle::Funnel(
-            SimFunnelList::create(&sim, (cfg.nproc / 2).max(1), 2).with_tap(tap.clone()),
-        ),
-        QueueUnderTest::Sharded => QueueHandle::Sharded(
-            (0..SHARDED_SHARDS)
-                .map(|_| make_skipqueue(&sim, true, &tap))
-                .collect(),
-        ),
+    let sizes = Sizes {
+        max_level: SKIP_MAX_LEVEL,
+        // Worst case every operation is an insert.
+        heap_capacity: cfg.nproc as usize * cfg.ops_per_proc as usize + 1,
+        funnel_width: (cfg.nproc / 2).max(1),
     };
-    spawn_workers(&mut sim, cfg, handle);
+    let queue = SimQueue::create(&sim, cfg.queue, sizes).with_tap(tap.clone());
+    spawn_workers(&mut sim, cfg, queue);
     let report = sim.run();
     let history = tap.take();
     let (violations, relaxation_evidence) = audit(cfg.queue, &history);
@@ -430,7 +261,7 @@ pub fn run_schedule(cfg: &ScheduleConfig) -> ScheduleOutcome {
 /// windows, lock delays, and a stalled processor pinning the GC horizon).
 /// Replaying a failing seed therefore needs nothing but the seed, the
 /// queue, and the workload.
-pub fn exploration_config(queue: QueueUnderTest, workload: Workload, seed: u64) -> ScheduleConfig {
+pub fn exploration_config(queue: QueueKind, workload: Workload, seed: u64) -> ScheduleConfig {
     let mut cfg = ScheduleConfig::new(queue, workload, seed);
     // Rough boundary count for PCT change points: each queue operation
     // issues a few dozen shared operations.
@@ -463,6 +294,8 @@ pub fn exploration_config(queue: QueueUnderTest, workload: Workload, seed: u64) 
 mod tests {
     use super::*;
 
+    const STRICT: QueueKind = QueueKind::SkipQueue { strict: true };
+
     #[test]
     fn make_key_is_injective_over_pid_seq() {
         let a = make_key(3, 0, 1);
@@ -475,30 +308,18 @@ mod tests {
 
     #[test]
     fn names_round_trip() {
-        for q in QueueUnderTest::ALL {
-            assert_eq!(QueueUnderTest::parse(q.name()), Some(q));
-        }
         for w in Workload::ALL {
             assert_eq!(Workload::parse(w.name()), Some(w));
         }
-        assert_eq!(QueueUnderTest::parse("nope"), None);
-    }
-
-    #[test]
-    fn roster_is_derived_from_all() {
-        let r = roster();
-        assert_eq!(r.split(' ').count(), QueueUnderTest::ALL.len());
-        for q in QueueUnderTest::ALL {
-            assert!(r.split(' ').any(|n| n == q.name()), "{} missing", q.name());
-        }
+        assert_eq!(Workload::parse("nope"), None);
     }
 
     #[test]
     fn exploration_rotates_schedulers_and_faults() {
-        let c0 = exploration_config(QueueUnderTest::SkipQueueStrict, Workload::Mixed, 0);
-        let c1 = exploration_config(QueueUnderTest::SkipQueueStrict, Workload::Mixed, 1);
-        let c2 = exploration_config(QueueUnderTest::SkipQueueStrict, Workload::Mixed, 2);
-        let c3 = exploration_config(QueueUnderTest::SkipQueueStrict, Workload::Mixed, 3);
+        let c0 = exploration_config(STRICT, Workload::Mixed, 0);
+        let c1 = exploration_config(STRICT, Workload::Mixed, 1);
+        let c2 = exploration_config(STRICT, Workload::Mixed, 2);
+        let c3 = exploration_config(STRICT, Workload::Mixed, 3);
         assert_eq!(c0.sched, SchedSpec::ClockOrder);
         assert!(matches!(c1.sched, SchedSpec::RandomPerturb { .. }));
         assert!(matches!(c2.sched, SchedSpec::Pct { .. }));
@@ -516,7 +337,7 @@ mod tests {
         let mut scored = 0u64;
         for seed in 0..6 {
             for workload in Workload::ALL {
-                let cfg = ScheduleConfig::new(QueueUnderTest::Sharded, workload, seed);
+                let cfg = ScheduleConfig::new(QueueKind::Sharded, workload, seed);
                 let out = run_schedule(&cfg);
                 assert!(!out.history.is_empty());
                 assert!(
@@ -537,7 +358,7 @@ mod tests {
 
     #[test]
     fn sharded_schedule_is_deterministic() {
-        let cfg = ScheduleConfig::new(QueueUnderTest::Sharded, Workload::Mixed, 5);
+        let cfg = ScheduleConfig::new(QueueKind::Sharded, Workload::Mixed, 5);
         let a = run_schedule(&cfg);
         let b = run_schedule(&cfg);
         assert_eq!(a.report, b.report);
@@ -550,8 +371,7 @@ mod tests {
         // stamp order (clock read) can differ from the linearization
         // order, registering benign nonzero ranks. One processor leaves
         // no such ambiguity — every rank must be exactly 0.
-        let mut cfg =
-            ScheduleConfig::new(QueueUnderTest::SkipQueueStrict, Workload::FillThenDrain, 3);
+        let mut cfg = ScheduleConfig::new(STRICT, Workload::FillThenDrain, 3);
         cfg.nproc = 1;
         let out = run_schedule(&cfg);
         assert!(out.rank_error.samples > 0);
@@ -564,7 +384,7 @@ mod tests {
 
     #[test]
     fn single_schedule_runs_and_audits() {
-        let cfg = ScheduleConfig::new(QueueUnderTest::SkipQueueStrict, Workload::Mixed, 7);
+        let cfg = ScheduleConfig::new(STRICT, Workload::Mixed, 7);
         let out = run_schedule(&cfg);
         assert!(!out.history.is_empty());
         assert!(out.violations.is_empty(), "{:?}", out.violations);

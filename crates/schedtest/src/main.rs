@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! schedtest [--schedules N] [--base-seed S]
-//!           [--queues LIST]        # roster printed by --help, from QueueUnderTest::ALL
+//!           [--queues LIST]        # roster printed by --help, from simpq::QueueKind::ALL
 //!           [--workloads mixed,fill-drain]
 //!           [--expect-evidence]
 //! schedtest --replay SEED --queue strict --workload mixed
@@ -19,29 +19,34 @@
 
 use std::process::ExitCode;
 
-use schedtest::{exploration_config, roster, run_schedule, QueueUnderTest, Workload};
+use schedtest::{exploration_config, run_schedule, Workload};
+use simpq::QueueKind;
 
 struct Args {
     schedules: u64,
     base_seed: u64,
-    queues: Vec<QueueUnderTest>,
+    queues: Vec<QueueKind>,
     workloads: Vec<Workload>,
     expect_evidence: bool,
     replay: Option<u64>,
-    replay_queue: QueueUnderTest,
+    replay_queue: QueueKind,
     replay_workload: Workload,
 }
 
 fn usage() -> ! {
-    // The queue roster is derived from `QueueUnderTest::ALL` so this text
-    // can never drift from the variants the harness actually runs.
+    // The queue roster is derived from `QueueKind::ALL` so this text can
+    // never drift from the variants the harness actually runs.
     eprintln!(
         "usage: schedtest [--schedules N] [--base-seed S] [--queues LIST] \
          [--workloads LIST] [--expect-evidence]\n\
          \x20      schedtest --replay SEED --queue NAME --workload NAME\n\
          queues: {}\n\
          workloads: {}",
-        roster(),
+        QueueKind::ALL
+            .iter()
+            .map(|q| q.name())
+            .collect::<Vec<_>>()
+            .join(" "),
         Workload::ALL
             .iter()
             .map(|w| w.name())
@@ -55,11 +60,11 @@ fn parse_args() -> Args {
     let mut args = Args {
         schedules: 200,
         base_seed: 0,
-        queues: QueueUnderTest::ALL.to_vec(),
+        queues: QueueKind::ALL.to_vec(),
         workloads: Workload::ALL.to_vec(),
         expect_evidence: false,
         replay: None,
-        replay_queue: QueueUnderTest::SkipQueueStrict,
+        replay_queue: QueueKind::SkipQueue { strict: true },
         replay_workload: Workload::Mixed,
     };
     let mut it = std::env::args().skip(1);
@@ -80,7 +85,7 @@ fn parse_args() -> Args {
             "--queues" => {
                 args.queues = value("--queues")
                     .split(',')
-                    .map(|s| QueueUnderTest::parse(s).unwrap_or_else(|| usage()))
+                    .map(|s| QueueKind::parse(s).unwrap_or_else(|| usage()))
                     .collect()
             }
             "--workloads" => {
@@ -92,8 +97,7 @@ fn parse_args() -> Args {
             "--expect-evidence" => args.expect_evidence = true,
             "--replay" => args.replay = Some(value("--replay").parse().unwrap_or_else(|_| usage())),
             "--queue" => {
-                args.replay_queue =
-                    QueueUnderTest::parse(&value("--queue")).unwrap_or_else(|| usage())
+                args.replay_queue = QueueKind::parse(&value("--queue")).unwrap_or_else(|| usage())
             }
             "--workload" => {
                 args.replay_workload =
@@ -109,7 +113,7 @@ fn parse_args() -> Args {
     args
 }
 
-fn replay(seed: u64, queue: QueueUnderTest, workload: Workload) -> ExitCode {
+fn replay(seed: u64, queue: QueueKind, workload: Workload) -> ExitCode {
     // Evidence lists can run long and get piped through `head`; ignore
     // write errors (broken pipe) instead of panicking mid-report.
     use std::io::Write;
@@ -204,14 +208,14 @@ fn main() -> ExitCode {
                 workload.name(),
                 args.schedules,
             );
-            if *queue == QueueUnderTest::SkipQueueRelaxed {
+            if *queue == (QueueKind::SkipQueue { strict: false }) {
                 line.push_str(&format!(" relaxation-evidence={evidence}"));
                 if let Some(s) = evidence_seed {
                     line.push_str(&format!(" (first at seed {s})"));
                 }
                 relaxed_evidence_total += evidence;
             }
-            if matches!(queue, QueueUnderTest::Sharded) && rank_samples > 0 {
+            if *queue == QueueKind::Sharded && rank_samples > 0 {
                 // The sharded variant's relaxation is a magnitude, not an
                 // event count: report the aggregate rank error.
                 line.push_str(&format!(
@@ -224,7 +228,9 @@ fn main() -> ExitCode {
     }
 
     if args.expect_evidence
-        && args.queues.contains(&QueueUnderTest::SkipQueueRelaxed)
+        && args
+            .queues
+            .contains(&QueueKind::SkipQueue { strict: false })
         && relaxed_evidence_total == 0
     {
         println!(

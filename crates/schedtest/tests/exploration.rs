@@ -7,10 +7,15 @@
 //!   the CI sweep runs more);
 //! * the relaxed SkipQueue's Definition-1 departures are *detected* and
 //!   reproducible from their seed;
-//! * heap and funnel-list audits stay clean under perturbation.
+//! * heap, funnel-list and funnel-fronted SkipQueue audits stay clean
+//!   under perturbation.
 
 use pqsim::{FaultSpec, SchedSpec, StallSpec};
-use schedtest::{exploration_config, run_schedule, QueueUnderTest, ScheduleConfig, Workload};
+use schedtest::{exploration_config, run_schedule, ScheduleConfig, Workload};
+use simpq::QueueKind;
+
+const STRICT: QueueKind = QueueKind::SkipQueue { strict: true };
+const RELAXED: QueueKind = QueueKind::SkipQueue { strict: false };
 
 #[test]
 fn same_config_is_byte_identical_under_every_scheduler() {
@@ -24,7 +29,7 @@ fn same_config_is_byte_identical_under_every_scheduler() {
         },
     ];
     for sched in scheds {
-        let mut cfg = ScheduleConfig::new(QueueUnderTest::SkipQueueStrict, Workload::Mixed, 42);
+        let mut cfg = ScheduleConfig::new(STRICT, Workload::Mixed, 42);
         cfg.sched = sched.clone();
         let a = run_schedule(&cfg);
         let b = run_schedule(&cfg);
@@ -40,7 +45,7 @@ fn same_config_is_byte_identical_under_every_scheduler() {
 
 #[test]
 fn different_schedulers_produce_different_schedules() {
-    let mut clock = ScheduleConfig::new(QueueUnderTest::SkipQueueStrict, Workload::Mixed, 42);
+    let mut clock = ScheduleConfig::new(STRICT, Workload::Mixed, 42);
     clock.sched = SchedSpec::ClockOrder;
     let mut perturbed = clock.clone();
     perturbed.sched = SchedSpec::RandomPerturb { max_delay: 900 };
@@ -58,7 +63,7 @@ fn different_schedulers_produce_different_schedules() {
 fn strict_skipqueue_clean_on_every_explored_schedule() {
     for workload in Workload::ALL {
         for seed in 0..36 {
-            let cfg = exploration_config(QueueUnderTest::SkipQueueStrict, workload, seed);
+            let cfg = exploration_config(STRICT, workload, seed);
             let out = run_schedule(&cfg);
             assert!(
                 out.violations.is_empty(),
@@ -76,7 +81,7 @@ fn relaxed_skipqueue_yields_reproducible_definition1_departure() {
     // within a modest seed budget, and the finding must replay exactly.
     let mut found = None;
     for seed in 0..120 {
-        let cfg = exploration_config(QueueUnderTest::SkipQueueRelaxed, Workload::Mixed, seed);
+        let cfg = exploration_config(RELAXED, Workload::Mixed, seed);
         let out = run_schedule(&cfg);
         assert!(
             out.violations.is_empty(),
@@ -89,11 +94,7 @@ fn relaxed_skipqueue_yields_reproducible_definition1_departure() {
         }
     }
     let (seed, evidence) = found.expect("no Definition-1 departure detected in 120 schedules");
-    let replay = run_schedule(&exploration_config(
-        QueueUnderTest::SkipQueueRelaxed,
-        Workload::Mixed,
-        seed,
-    ));
+    let replay = run_schedule(&exploration_config(RELAXED, Workload::Mixed, seed));
     assert_eq!(
         replay.relaxation_evidence, evidence,
         "seed {seed} must replay its evidence exactly"
@@ -102,7 +103,11 @@ fn relaxed_skipqueue_yields_reproducible_definition1_departure() {
 
 #[test]
 fn heap_and_funnel_audits_clean_under_perturbation() {
-    for queue in [QueueUnderTest::HuntHeap, QueueUnderTest::FunnelList] {
+    for queue in [
+        QueueKind::HuntHeap,
+        QueueKind::FunnelList,
+        QueueKind::FunnelSkipQueue,
+    ] {
         for seed in 0..12 {
             let cfg = exploration_config(queue, Workload::Mixed, seed);
             let out = run_schedule(&cfg);
@@ -120,7 +125,7 @@ fn heap_and_funnel_audits_clean_under_perturbation() {
 fn stalled_processor_fault_does_not_break_strict_queue() {
     // A stalled processor pins the §3 GC horizon but must not affect
     // correctness; the audit stays clean and the run still terminates.
-    let mut cfg = ScheduleConfig::new(QueueUnderTest::SkipQueueStrict, Workload::Mixed, 9);
+    let mut cfg = ScheduleConfig::new(STRICT, Workload::Mixed, 9);
     cfg.sched = SchedSpec::RandomPerturb { max_delay: 500 };
     cfg.faults = FaultSpec {
         preempt_prob: 0.05,

@@ -79,11 +79,6 @@ impl Sim {
         self.machine.borrow().mem.peek(addr)
     }
 
-    /// Out-of-band write of a shared word (zero simulated cost).
-    pub fn write_word(&self, addr: Addr, value: Word) {
-        self.machine.borrow_mut().mem.poke(addr, value);
-    }
-
     /// Spawns a program on the next free processor, returning its pid.
     ///
     /// Panics if all `nproc` processors already have programs.

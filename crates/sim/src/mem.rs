@@ -90,11 +90,6 @@ impl MemState {
         self.live_words
     }
 
-    /// Total words ever claimed from the bump pointer.
-    pub fn high_water_words(&self) -> usize {
-        self.brk
-    }
-
     /// Direct (zero-cost, out-of-band) read, for setup and assertions.
     pub fn peek(&self, addr: Addr) -> Word {
         self.words[addr as usize]

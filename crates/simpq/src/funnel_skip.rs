@@ -13,57 +13,37 @@
 //! underlying [`SimSkipQueue`]; delete-mins combine in a funnel and one
 //! representative executes the whole batch against the skiplist.
 //!
-//! The funnel protocol is the same capture discipline as
-//! [`crate::funnellist`] (LOCKED / ACTIVE / CAPTURED / DONE).
+//! The funnel (`combining.rs`) is the one [`crate::funnellist`] runs.
 
-use pqsim::{Addr, Proc, Sim, Word, NULL};
+use pqsim::{Proc, Sim};
 
+use crate::combining::{self, Descent, Funnel, HEADER_WORDS};
 use crate::skipqueue::SimSkipQueue;
+use crate::tap::HistoryTap;
 
-const ST_LOCKED: Word = 0;
-const ST_ACTIVE: Word = 1;
-const ST_CAPTURED: Word = 2;
-const ST_DONE: Word = 3;
-
-const R_STATUS: u32 = 0;
-const R_CHAIN: u32 = 1;
-const R_SIBLING: u32 = 2;
-const R_RES_KEY: u32 = 3;
-const R_RES_VAL: u32 = 4;
-const R_RES_OK: u32 = 5;
-const REQ_WORDS: u32 = 6;
-
-/// A SkipQueue whose delete-mins are batched through a combining funnel.
+/// A strict SkipQueue whose delete-mins are batched through a combining
+/// funnel.
+#[derive(Clone)]
 pub struct FunnelSkipQueue {
     inner: SimSkipQueue,
-    /// Collision layers: (base address, width).
-    layers: Vec<(Addr, u32)>,
-    spin_rounds: u32,
+    funnel: Funnel,
 }
 
 impl FunnelSkipQueue {
-    /// Builds the structure: a SkipQueue plus a delete-side funnel of the
-    /// given first-layer `width` and `depth`.
-    pub fn create(sim: &Sim, max_level: usize, strict: bool, width: u32, depth: u32) -> Self {
-        let inner = SimSkipQueue::create(sim, max_level, strict);
-        let m = sim.machine();
-        let mut m = m.borrow_mut();
-        let nproc = m.cfg.nproc.max(1);
-        let layers = (0..depth)
-            .map(|d| {
-                let w = (width >> d).max(1);
-                let base = m.mem.alloc(w, 0);
-                for i in 0..w {
-                    m.mem.set_home(base + i, 1, i % nproc);
-                }
-                (base, w)
-            })
-            .collect();
-        Self {
-            inner,
-            layers,
-            spin_rounds: 6,
-        }
+    /// Builds the structure: a strict SkipQueue plus a delete-side funnel
+    /// whose first layer is `width` slots wide.
+    pub fn create(sim: &Sim, max_level: usize, width: u32) -> Self {
+        let inner = SimSkipQueue::create(sim, max_level, true);
+        let funnel = Funnel::create(sim, width);
+        Self { inner, funnel }
+    }
+
+    /// Attaches a history tap to the inner SkipQueue, so the recorded
+    /// history is a strict SkipQueue history: a combiner's delete-mins are
+    /// recorded as its own (see [`crate::tap`]).
+    pub fn with_tap(mut self, tap: HistoryTap) -> Self {
+        self.inner = self.inner.with_tap(tap);
+        self
     }
 
     /// The underlying SkipQueue (population, invariants, stats).
@@ -79,99 +59,19 @@ impl FunnelSkipQueue {
 
     /// Funnel-combined delete-min.
     pub async fn delete_min(&self, p: &Proc) -> Option<(u64, u64)> {
-        let req = p.alloc(REQ_WORDS);
-        p.with_machine(|m| m.mem.poke(req + R_STATUS, ST_LOCKED));
+        let req = combining::request(p, HEADER_WORDS);
         p.work(6);
-
-        let mut chain: Addr = NULL;
-        for &(base, width) in &self.layers {
-            p.write(req + R_CHAIN, Word::from(chain)).await;
-            p.write(req + R_STATUS, ST_ACTIVE).await;
-            let slot = base + p.gen_range_u64(u64::from(width)) as u32;
-            let prev = p.swap(slot, Word::from(req)).await as Addr;
-
-            let rounds = if prev == NULL { 1 } else { self.spin_rounds };
-            let mut backoff = 16u64;
-            for _ in 0..rounds {
-                if p.read(req + R_STATUS).await != ST_ACTIVE {
-                    break;
-                }
-                p.work(backoff);
-                backoff = (backoff * 2).min(256);
-            }
-            let old = p.cas(req + R_STATUS, ST_ACTIVE, ST_LOCKED).await;
-            let retracted = old == ST_ACTIVE;
-            p.cas(slot, Word::from(req), Word::from(NULL)).await;
-
-            if prev != NULL && prev != req && retracted {
-                let got = p.cas(prev + R_STATUS, ST_ACTIVE, ST_CAPTURED).await;
-                if got == ST_ACTIVE {
-                    p.write(prev + R_SIBLING, Word::from(chain)).await;
-                    chain = prev;
-                }
-            }
-
-            if !retracted {
-                let mut wait = 64u64;
-                loop {
-                    if p.read(req + R_STATUS).await == ST_DONE {
-                        break;
-                    }
-                    p.work(wait);
-                    wait = (wait * 2).min(4096);
-                }
-                return self.read_result(p, req).await;
-            }
-        }
+        let chain = match self.funnel.descend(p, req).await {
+            Descent::Served(result) => return result,
+            Descent::Combine(chain) => chain,
+        };
 
         // Combiner: execute every batched delete-min against the skiplist.
-        let mut members = vec![req];
-        let mut stack = vec![chain];
-        while let Some(mut c) = stack.pop() {
-            while c != NULL {
-                members.push(c);
-                let sub = p.read(c + R_CHAIN).await as Addr;
-                stack.push(sub);
-                c = p.read(c + R_SIBLING).await as Addr;
-            }
+        for m in combining::gather(p, req, chain).await {
+            let result = self.inner.delete_min(p).await;
+            combining::deliver(p, req, m, result).await;
         }
-        for &m in &members {
-            match self.inner.delete_min(p).await {
-                Some((k, v)) => {
-                    p.write(m + R_RES_KEY, k).await;
-                    p.write(m + R_RES_VAL, v).await;
-                    p.write(m + R_RES_OK, 1).await;
-                }
-                None => {
-                    p.write(m + R_RES_OK, 2).await;
-                }
-            }
-            if m != req {
-                p.write(m + R_STATUS, ST_DONE).await;
-            }
-        }
-        self.read_result(p, req).await
-    }
-
-    async fn read_result(&self, p: &Proc, req: Addr) -> Option<(u64, u64)> {
-        let ok = p.read(req + R_RES_OK).await;
-        if ok == 1 {
-            let k = p.read(req + R_RES_KEY).await;
-            let v = p.read(req + R_RES_VAL).await;
-            Some((k, v))
-        } else {
-            None
-        }
-    }
-}
-
-impl Clone for FunnelSkipQueue {
-    fn clone(&self) -> Self {
-        Self {
-            inner: self.inner.clone(),
-            layers: self.layers.clone(),
-            spin_rounds: self.spin_rounds,
-        }
+        combining::read_result(p, req).await
     }
 }
 
@@ -187,7 +87,7 @@ mod tests {
     #[test]
     fn single_proc_ordering() {
         let mut sim = new_sim(1);
-        let q = FunnelSkipQueue::create(&sim, 8, true, 4, 2);
+        let q = FunnelSkipQueue::create(&sim, 8, 4);
         let out = sim.alloc_shared(5);
         let q2 = q.clone();
         sim.spawn(move |p| async move {
@@ -209,7 +109,7 @@ mod tests {
     #[test]
     fn concurrent_drain_exactly_once() {
         let mut sim = new_sim(8);
-        let q = FunnelSkipQueue::create(&sim, 10, true, 8, 2);
+        let q = FunnelSkipQueue::create(&sim, 10, 8);
         let mut rng = Pcg32::new(4, 4);
         let keys = q.inner().populate(&sim, &mut rng, 120, 1 << 30);
         let got = sim.alloc_shared(8 * 120);
@@ -241,7 +141,7 @@ mod tests {
     #[test]
     fn mixed_workload_conserves() {
         let mut sim = new_sim(8);
-        let q = FunnelSkipQueue::create(&sim, 10, true, 8, 2);
+        let q = FunnelSkipQueue::create(&sim, 10, 8);
         let counts = sim.alloc_shared(16);
         for t in 0..8u32 {
             let q2 = q.clone();

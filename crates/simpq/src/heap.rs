@@ -30,6 +30,7 @@ fn busy(pid: u32) -> Word {
 }
 
 /// The simulator-hosted Hunt et al. concurrent heap.
+#[derive(Clone)]
 pub struct SimHuntHeap {
     /// Base address of the 1-indexed slot array.
     base: Addr,
@@ -90,11 +91,6 @@ impl SimHuntHeap {
     pub fn with_tap(mut self, tap: HistoryTap) -> Self {
         self.tap = Some(tap);
         self
-    }
-
-    /// Maximum number of items.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     fn slot(&self, i: usize) -> Addr {
@@ -338,20 +334,6 @@ impl SimHuntHeap {
             }
         }
         size
-    }
-}
-
-impl Clone for SimHuntHeap {
-    fn clone(&self) -> Self {
-        Self {
-            base: self.base,
-            size_addr: self.size_addr,
-            heap_lock: self.heap_lock,
-            slot_locks: self.slot_locks.clone(),
-            capacity: self.capacity,
-            max_pos: self.max_pos,
-            tap: self.tap.clone(),
-        }
     }
 }
 

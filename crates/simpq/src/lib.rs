@@ -2,11 +2,14 @@
 //!
 //! Lotan & Shavit's entire evaluation runs on a simulated 256-processor
 //! ccNUMA (Proteus configured like the MIT Alewife), measuring operation
-//! latency in machine cycles. This crate contains the three benchmarked
-//! structures written against the [`pqsim`] shared-memory API — every
-//! globally visible READ/WRITE/SWAP/lock operation is charged cycles and
-//! contends at its home memory module — plus the synthetic workload driver
-//! that regenerates every figure of the paper.
+//! latency in machine cycles. This crate holds every simulated structure,
+//! written against the [`pqsim`] shared-memory API — every globally
+//! visible READ/WRITE/SWAP/lock operation is charged cycles and contends at
+//! its home memory module — plus the synthetic workload driver that
+//! regenerates every figure of the paper.
+//!
+//! The roster, one [`QueueKind`] each, built and dispatched through
+//! [`SimQueue`]:
 //!
 //! * [`skipqueue::SimSkipQueue`] — the SkipQueue: the shared [`pqalgo`]
 //!   algorithm (the `getLock` re-validation loop, the `timeStamp`
@@ -19,12 +22,20 @@
 //!   locks and tags, bit-reversed bottom-up insertions, top-down deletions.
 //! * [`funnellist::SimFunnelList`] — the sorted linked list with a
 //!   combining-funnel front end.
-//! * [`workload::run_workload`] — the benchmark of §5: each processor
-//!   alternates `work_cycles` of local work with a random queue operation;
-//!   reports mean insert / delete-min latency in cycles.
+//! * [`funnel_skip::FunnelSkipQueue`] — the design §5 tried and rejected: a
+//!   SkipQueue whose delete-mins go through the same combining funnel.
+//! * [`sharded::SimShardedQueue`] — the simulated counterpart of the native
+//!   `shardq` front-end: strict SkipQueue shards behind a two-shard sampling
+//!   delete-min.
+//!
+//! [`workload::run_workload`] is the benchmark of §5: each processor
+//! alternates `work_cycles` of local work with a random queue operation and
+//! reports mean insert / delete-min latency in cycles.
+//! [`workload::run_hold_model`] is the hold model of discrete-event
+//! simulation.
 //!
 //! ```
-//! use simpq::workload::{run_workload, QueueKind, WorkloadConfig};
+//! use simpq::{run_workload, QueueKind, WorkloadConfig};
 //!
 //! let res = run_workload(&WorkloadConfig {
 //!     queue: QueueKind::SkipQueue { strict: true },
@@ -41,9 +52,12 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
+mod combining;
 pub mod funnel_skip;
 pub mod funnellist;
 pub mod heap;
+pub mod roster;
+pub mod sharded;
 pub mod skipqueue;
 pub mod tap;
 pub mod workload;
@@ -51,8 +65,10 @@ pub mod workload;
 pub use funnel_skip::FunnelSkipQueue;
 pub use funnellist::SimFunnelList;
 pub use heap::SimHuntHeap;
+pub use roster::{QueueKind, SimQueue, Sizes};
+pub use sharded::{SimShardedQueue, SHARDED_SHARDS};
 pub use skipqueue::SimSkipQueue;
 pub use tap::HistoryTap;
 pub use workload::{
-    run_hold_model, run_workload, HoldConfig, HoldResult, QueueKind, WorkloadConfig, WorkloadResult,
+    run_hold_model, run_workload, HoldConfig, HoldResult, WorkloadConfig, WorkloadResult,
 };

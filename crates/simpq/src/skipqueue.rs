@@ -66,7 +66,9 @@ fn node_words(height: usize) -> u32 {
     TOWER + 2 * height as u32
 }
 
-/// The simulator-hosted SkipQueue.
+/// The simulator-hosted SkipQueue. Clones share the one queue: the handle
+/// is cloned into every processor's program.
+#[derive(Clone)]
 pub struct SimSkipQueue {
     head: Addr,
     tail: Addr,
@@ -149,11 +151,6 @@ impl SimSkipQueue {
     pub fn with_trace(mut self, sink: Rc<RefCell<Vec<Event<u64>>>>) -> Self {
         self.trace = Some(sink);
         self
-    }
-
-    /// Head sentinel address (tests/diagnostics).
-    pub fn head(&self) -> Addr {
-        self.head
     }
 
     /// Whether the strict (time-stamped) protocol is active.
@@ -411,23 +408,6 @@ impl SimSkipQueue {
             cur = m.mem.peek(next_addr(cur, 0)) as Addr;
         }
         out
-    }
-}
-
-// The queue handle is cloned into every processor's program.
-impl Clone for SimSkipQueue {
-    fn clone(&self) -> Self {
-        Self {
-            head: self.head,
-            tail: self.tail,
-            max_level: self.max_level,
-            strict: self.strict,
-            registry: self.registry,
-            nproc: self.nproc,
-            garbage: Rc::clone(&self.garbage),
-            tap: self.tap.clone(),
-            trace: self.trace.clone(),
-        }
     }
 }
 
@@ -914,7 +894,8 @@ mod tests {
     fn collector_enables_memory_reuse() {
         // With the collector, churny workloads reuse node blocks instead of
         // growing the arena without bound.
-        use crate::workload::{run_workload, QueueKind, WorkloadConfig};
+        use crate::workload::{run_workload, WorkloadConfig};
+        use crate::QueueKind;
         let with_gc = WorkloadConfig {
             queue: QueueKind::SkipQueue { strict: true },
             nproc: 4,

@@ -25,6 +25,10 @@
 //!   (the eligibility test reads the stamp before claiming).
 //! * **Heap / FunnelList** — plain operation boundaries (`p.now()` on
 //!   entry and exit).
+//! * **Funnel+SkipQueue / Sharded** — the tap sits on the strict
+//!   SkipQueue(s) inside, so they record strict SkipQueue stamps: a
+//!   funnel combiner's batched delete-mins and a sharded probe's shard-level
+//!   delete-mins are recorded as operations of their own.
 //!
 //! Histories identify items by their *value* word and order them by it, so
 //! recorded workloads must use unique values that sort like their keys

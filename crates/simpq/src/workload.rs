@@ -15,47 +15,10 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use pqsim::{
-    CostModel, Cycles, FaultSpec, LatencyRecorder, LatencySummary, Pcg32, Proc, SchedSpec, Sim,
-    SimConfig,
+    CostModel, Cycles, FaultSpec, LatencyRecorder, LatencySummary, Pcg32, SchedSpec, Sim, SimConfig,
 };
 
-use crate::funnel_skip::FunnelSkipQueue;
-use crate::funnellist::SimFunnelList;
-use crate::heap::SimHuntHeap;
-use crate::skipqueue::SimSkipQueue;
-
-/// Which structure to benchmark.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QueueKind {
-    /// The SkipQueue; `strict = false` is the relaxed variant of §5.4.
-    SkipQueue {
-        /// Run the time-stamp ordering mechanism.
-        strict: bool,
-    },
-    /// The Hunt et al. heap.
-    HuntHeap,
-    /// The FunnelList.
-    FunnelList,
-    /// The rejected §5 design: a SkipQueue whose delete-mins go through a
-    /// combining funnel (ablation only).
-    FunnelSkipQueue {
-        /// Run the time-stamp ordering mechanism in the inner SkipQueue.
-        strict: bool,
-    },
-}
-
-impl QueueKind {
-    /// Display name matching the paper's figure legends.
-    pub fn label(&self) -> &'static str {
-        match self {
-            QueueKind::SkipQueue { strict: true } => "SkipQueue",
-            QueueKind::SkipQueue { strict: false } => "Relaxed SkipQueue",
-            QueueKind::HuntHeap => "Heap",
-            QueueKind::FunnelList => "FunnelList",
-            QueueKind::FunnelSkipQueue { .. } => "Funnel+SkipQueue",
-        }
-    }
-}
+use crate::roster::{QueueKind, SimQueue, Sizes};
 
 /// Configuration of one benchmark run (one point of one figure).
 #[derive(Clone, Debug)]
@@ -80,7 +43,8 @@ pub struct WorkloadConfig {
     /// Machine cost model.
     pub cost: CostModel,
     /// Dedicate one extra processor to garbage collection (the paper's §3
-    /// scheme; only meaningful for the SkipQueue kinds).
+    /// scheme; only meaningful for the single-SkipQueue kinds, so the
+    /// sharded queue runs without it).
     pub gc_collector: bool,
     /// Override the skiplist height cap (default: ~log2 of the expected
     /// maximum size — the paper's "simple method"). Ablations only.
@@ -144,53 +108,6 @@ struct Recorders {
     empty_deletes: u64,
 }
 
-enum AnyQueue {
-    Skip(SimSkipQueue),
-    Heap(SimHuntHeap),
-    Funnel(SimFunnelList),
-    FunnelSkip(FunnelSkipQueue),
-}
-
-impl AnyQueue {
-    async fn insert(&self, p: &Proc, key: u64, value: u64) {
-        match self {
-            AnyQueue::Skip(q) => {
-                q.insert(p, key, value).await;
-            }
-            AnyQueue::Heap(q) => q.insert(p, key, value).await,
-            AnyQueue::Funnel(q) => q.insert(p, key, value).await,
-            AnyQueue::FunnelSkip(q) => q.insert(p, key, value).await,
-        }
-    }
-
-    async fn delete_min(&self, p: &Proc) -> Option<(u64, u64)> {
-        match self {
-            AnyQueue::Skip(q) => q.delete_min(p).await,
-            AnyQueue::Heap(q) => q.delete_min(p).await,
-            AnyQueue::Funnel(q) => q.delete_min(p).await,
-            AnyQueue::FunnelSkip(q) => q.delete_min(p).await,
-        }
-    }
-
-    fn clone_handle(&self) -> AnyQueue {
-        match self {
-            AnyQueue::Skip(q) => AnyQueue::Skip(q.clone()),
-            AnyQueue::Heap(q) => AnyQueue::Heap(q.clone()),
-            AnyQueue::Funnel(q) => AnyQueue::Funnel(q.clone()),
-            AnyQueue::FunnelSkip(q) => AnyQueue::FunnelSkip(q.clone()),
-        }
-    }
-
-    fn final_size(&self, sim: &Sim) -> usize {
-        match self {
-            AnyQueue::Skip(q) => q.check_invariants(sim),
-            AnyQueue::Heap(q) => q.check_invariants(sim),
-            AnyQueue::Funnel(q) => q.check_invariants(sim),
-            AnyQueue::FunnelSkip(q) => q.inner().check_invariants(sim),
-        }
-    }
-}
-
 /// Picks a skiplist height cap ~ log2 of the expected maximum size, the
 /// paper's "simple method" (§5: "we assumed an upper bound on the maximal
 /// number N of items ... making the maximal level be log N").
@@ -207,7 +124,7 @@ pub fn run_workload(cfg: &WorkloadConfig) -> WorkloadResult {
     let with_collector = cfg.gc_collector
         && matches!(
             cfg.queue,
-            QueueKind::SkipQueue { .. } | QueueKind::FunnelSkipQueue { .. }
+            QueueKind::SkipQueue { .. } | QueueKind::FunnelSkipQueue
         );
     let sim_cfg = SimConfig {
         // The GC processor is an extra, dedicated one (§3).
@@ -221,34 +138,16 @@ pub fn run_workload(cfg: &WorkloadConfig) -> WorkloadResult {
     let mut sim = Sim::new(sim_cfg);
     let mut prng = Pcg32::new(cfg.seed ^ 0xF00D, 0x9E37);
 
-    let queue = match cfg.queue {
-        QueueKind::SkipQueue { strict } => {
-            let q = SimSkipQueue::create(&sim, skiplist_max_level(cfg), strict);
-            q.populate(&sim, &mut prng, cfg.initial_size, cfg.key_range);
-            AnyQueue::Skip(q)
-        }
-        QueueKind::HuntHeap => {
-            let capacity = cfg.initial_size
-                + (cfg.total_ops as f64 * cfg.insert_ratio) as usize
-                + cfg.nproc as usize
-                + 64;
-            let q = SimHuntHeap::create(&sim, capacity);
-            q.populate(&sim, &mut prng, cfg.initial_size, cfg.key_range);
-            AnyQueue::Heap(q)
-        }
-        QueueKind::FunnelList => {
-            let q = SimFunnelList::create(&sim, cfg.nproc.max(2), 2);
-            q.populate(&sim, &mut prng, cfg.initial_size, cfg.key_range);
-            AnyQueue::Funnel(q)
-        }
-        QueueKind::FunnelSkipQueue { strict } => {
-            let q =
-                FunnelSkipQueue::create(&sim, skiplist_max_level(cfg), strict, cfg.nproc.max(2), 2);
-            q.inner()
-                .populate(&sim, &mut prng, cfg.initial_size, cfg.key_range);
-            AnyQueue::FunnelSkip(q)
-        }
+    let sizes = Sizes {
+        max_level: skiplist_max_level(cfg),
+        heap_capacity: cfg.initial_size
+            + (cfg.total_ops as f64 * cfg.insert_ratio) as usize
+            + cfg.nproc as usize
+            + 64,
+        funnel_width: cfg.nproc.max(2),
     };
+    let queue = SimQueue::create(&sim, cfg.queue, sizes);
+    queue.populate(&sim, &mut prng, cfg.initial_size, cfg.key_range);
 
     let recorders = Rc::new(RefCell::new(Recorders::default()));
     let base = cfg.total_ops / cfg.nproc as usize;
@@ -258,7 +157,7 @@ pub fn run_workload(cfg: &WorkloadConfig) -> WorkloadResult {
 
     for pid in 0..cfg.nproc {
         let ops = base + usize::from((pid as usize) < extra);
-        let q = queue.clone_handle();
+        let q = queue.clone();
         let rec = Rc::clone(&recorders);
         let done = Rc::clone(&workers_done);
         let insert_ratio = cfg.insert_ratio;
@@ -292,8 +191,8 @@ pub fn run_workload(cfg: &WorkloadConfig) -> WorkloadResult {
     }
     if with_collector {
         let skip = match &queue {
-            AnyQueue::Skip(q) => Some(q.clone()),
-            AnyQueue::FunnelSkip(q) => Some(q.inner().clone()),
+            SimQueue::SkipQueue(q) => Some(q.clone()),
+            SimQueue::FunnelSkipQueue(q) => Some(q.inner().clone()),
             _ => None,
         };
         if let Some(q) = skip {
@@ -308,7 +207,7 @@ pub fn run_workload(cfg: &WorkloadConfig) -> WorkloadResult {
     }
 
     let report = sim.run();
-    let final_size = queue.final_size(&sim);
+    let final_size = queue.check_invariants(&sim);
     let rec = recorders.borrow();
     WorkloadResult {
         insert: rec.insert.summary(),
@@ -391,37 +290,20 @@ pub fn run_hold_model(cfg: &HoldConfig) -> HoldResult {
     // them strictly increasing, so keys stay unique enough in practice and
     // inside the sentinel range.
     let key_range = 1 << 40;
-    let queue = match cfg.queue {
-        QueueKind::SkipQueue { strict } => {
-            let max_level = ((usize::BITS - cfg.size.leading_zeros()) as usize + 1).clamp(4, 24);
-            let q = SimSkipQueue::create(&sim, max_level, strict);
-            q.populate(&sim, &mut prng, cfg.size, key_range);
-            AnyQueue::Skip(q)
-        }
-        QueueKind::HuntHeap => {
-            let q = SimHuntHeap::create(&sim, cfg.size + cfg.nproc as usize + 8);
-            q.populate(&sim, &mut prng, cfg.size, key_range);
-            AnyQueue::Heap(q)
-        }
-        QueueKind::FunnelList => {
-            let q = SimFunnelList::create(&sim, cfg.nproc.max(2), 2);
-            q.populate(&sim, &mut prng, cfg.size, key_range);
-            AnyQueue::Funnel(q)
-        }
-        QueueKind::FunnelSkipQueue { strict } => {
-            let max_level = ((usize::BITS - cfg.size.leading_zeros()) as usize + 1).clamp(4, 24);
-            let q = FunnelSkipQueue::create(&sim, max_level, strict, cfg.nproc.max(2), 2);
-            q.inner().populate(&sim, &mut prng, cfg.size, key_range);
-            AnyQueue::FunnelSkip(q)
-        }
+    let sizes = Sizes {
+        max_level: ((usize::BITS - cfg.size.leading_zeros()) as usize + 1).clamp(4, 24),
+        heap_capacity: cfg.size + cfg.nproc as usize + 8,
+        funnel_width: cfg.nproc.max(2),
     };
+    let queue = SimQueue::create(&sim, cfg.queue, sizes);
+    queue.populate(&sim, &mut prng, cfg.size, key_range);
 
     let recorder = Rc::new(RefCell::new(LatencyRecorder::new()));
     let base = cfg.total_holds / cfg.nproc as usize;
     let extra = cfg.total_holds % cfg.nproc as usize;
     for pid in 0..cfg.nproc {
         let holds = base + usize::from((pid as usize) < extra);
-        let q = queue.clone_handle();
+        let q = queue.clone();
         let rec = Rc::clone(&recorder);
         let work = cfg.work_cycles;
         let mean_dt = cfg.mean_dt;
@@ -439,7 +321,7 @@ pub fn run_hold_model(cfg: &HoldConfig) -> HoldResult {
         });
     }
     let report = sim.run();
-    let final_size = queue.final_size(&sim);
+    let final_size = queue.check_invariants(&sim);
     let rec = recorder.borrow();
     HoldResult {
         hold: rec.summary(),

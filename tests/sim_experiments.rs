@@ -189,7 +189,7 @@ fn heap_latency_is_lock_dominated() {
 /// Items are conserved through every structure's workload.
 #[test]
 fn conservation_holds_for_all_structures() {
-    for kind in [SKIP, RELAXED, HEAP, FUNNEL] {
+    for kind in QueueKind::ALL {
         let c = cfg(kind, 8, 200, 1_600, 0.5);
         let r = run_workload(&c);
         let successful_deletes = r.delete.count - r.empty_deletes;
