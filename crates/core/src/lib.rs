@@ -64,6 +64,13 @@
 //!   node lock until the insert finishes (Figure 11 line 27). The head
 //!   sentinel is born marked, so a scan routed back over it by a removed
 //!   node's backward pointer cannot claim it.
+//! * A strict `delete_min` skips that node lock. It claims only a node
+//!   whose stamp it read, and the insert stores the stamp (`Release`) only
+//!   after releasing the node lock, so the claim's `Acquire` load already
+//!   orders the delete after the whole insert.
+//! * The physical delete finds predecessors only on the victim's own
+//!   levels: its search starts at the head's level `height − 1`, not at
+//!   the top (Figure 11 lines 15–22 search every level).
 //! * `getTime()` is a shared hardware clock on Alewife; here it is a global
 //!   atomic counter whose `fetch_add` gives unique, totally ordered stamps,
 //!   which is exactly the property Lemma 1 needs.

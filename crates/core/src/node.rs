@@ -122,7 +122,7 @@ pub(crate) struct Node<K, V> {
     /// The logical-deletion mark, claimed with an atomic swap.
     pub deleted: AtomicBool,
     /// Serializes whole-node phases: held for the full linking of an insert
-    /// and for the full unlinking of a delete.
+    /// and, in relaxed mode only, for the full unlinking of a delete.
     pub node_lock: RawMutex,
     /// Number of [`Level`] entries following the header; never changes.
     height: u8,

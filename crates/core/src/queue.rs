@@ -23,9 +23,14 @@
 //! * **`delete_min`** (Figure 11): traverse the bottom level from the head,
 //!   skipping nodes time-stamped after the traversal began, and claim the
 //!   first unmarked node with an atomic `SWAP` on its `deleted` flag. The
-//!   winner then performs Pugh's physical delete: top-down, two locks per
-//!   level, unlinking the node and pointing its forward pointer *backwards*
-//!   at its predecessor so concurrent traversals escape gracefully.
+//!   winner then performs Pugh's physical delete on the victim's own levels
+//!   only: it reads the victim's height, searches for predecessors from the
+//!   head's level `height − 1`, and unlinks top-down, two locks per level,
+//!   pointing the node's forward pointer *backwards* at its predecessor so
+//!   concurrent traversals escape gracefully. Only a relaxed delete locks
+//!   the whole node first (to wait out an insert it claimed before the
+//!   insert finished); a strict claim read the stamp, which the insert
+//!   stores after releasing that lock.
 //! * Unlinked nodes go to the quiescence collector ([`crate::gc`]).
 //!
 //! ## Key ownership
@@ -1077,6 +1082,39 @@ mod tests {
             q.drain_sorted().iter().map(|(k, _)| *k).collect::<Vec<_>>(),
             vec![10, 20, 30]
         );
+    }
+
+    /// Inserts keys `0..heights.len()` in order, key `i` with tower height
+    /// `heights[i]`, then drains one `delete_min` at a time, checking after
+    /// every call that no level keeps a marked node or loses a live one.
+    fn drain_checking_every_level(strict: bool, max_height: usize, heights: &[usize]) {
+        let mut q: SkipQueue<u64, u64> = SkipQueue::with_params(max_height, strict, 4)
+            .with_height_script(heights.iter().copied());
+        for k in 0..heights.len() as u64 {
+            q.insert(k, k);
+        }
+        q.check_invariants();
+        for k in 0..heights.len() as u64 {
+            assert_eq!(q.delete_min(), Some((k, k)), "strict={strict}");
+            q.check_invariants();
+        }
+        assert_eq!(q.delete_min(), None);
+    }
+
+    #[test]
+    fn bounded_unlink_keeps_every_level_consistent() {
+        // The physical delete searches only the victim's own levels, and a
+        // strict delete takes no node lock. Towers are scripted so the
+        // victim is at the cap, shorter than its successor, and mixed.
+        for strict in [true, false] {
+            for max_height in [6, DEFAULT_MAX_HEIGHT] {
+                drain_checking_every_level(strict, max_height, &[max_height, 1, 2, 1, 3]);
+                drain_checking_every_level(strict, max_height, &[1, max_height, 1, 2]);
+                let alternating: Vec<usize> =
+                    [1, max_height, 3].into_iter().cycle().take(12).collect();
+                drain_checking_every_level(strict, max_height, &alternating);
+            }
+        }
     }
 
     #[test]

@@ -53,12 +53,13 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
         node1
     }
 
-    /// Finds, for every level, the last node ordered before `own` (Figure 10
-    /// lines 1–9 / Figure 11 lines 15–22).
-    async fn search<P: Platform<Node = N>>(&self, p: &P, own: N) -> [N; MAX_HEIGHT] {
+    /// Finds, for every level below `top`, the last node ordered before
+    /// `own` (Figure 10 lines 1–9 / Figure 11 lines 15–22), starting from
+    /// the head's level `top − 1`. Entries at `top` and above stay `head`.
+    async fn search<P: Platform<Node = N>>(&self, p: &P, own: N, top: usize) -> [N; MAX_HEIGHT] {
         let mut preds = [self.head; MAX_HEIGHT];
         let mut node1 = self.head;
-        for lvl in (0..self.max_height).rev() {
+        for lvl in (0..top).rev() {
             let mut node2 = p.load_next(node1, lvl).await;
             while p.key_lt(node2, own).await {
                 node1 = node2;
@@ -77,10 +78,12 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
         // Lines 17–19: make the node first; the search orders against it.
         let (node, height) = p.new_node();
         p.observe(&mut ctx, Event::Height(height));
-        let preds = self.search(p, node).await;
+        let preds = self.search(p, node, self.max_height).await;
 
         // Line 20: lock the node whole so no deleter can start unlinking it
-        // while its upper levels are still being connected.
+        // while its upper levels are still being connected. Only a relaxed
+        // deleter can claim the node that early: a strict one waits for the
+        // stamp, which is stored after the unlock.
         p.lock_node(node).await;
 
         // Lines 21–27: connect bottom-to-top, each level under the
@@ -137,16 +140,25 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
         // unique owner of the payload.
         p.take_payload(victim).await;
 
-        // Pugh's physical delete. Lines 15–22: find the predecessors. The
-        // search orders against the victim itself, so it stops right before
-        // it and lines 24–26's re-find by key has nothing to do.
-        let preds = self.search(p, victim).await;
-        // Line 27: lock the whole node (waits out an in-flight insert).
-        p.lock_node(victim).await;
+        // Pugh's physical delete. Lines 15–22: find the predecessors, but
+        // only on the victim's own levels: the search starts at the head's
+        // level `height − 1`, not at its top, so the empty upper levels of a
+        // short front victim cost nothing. The search orders against the
+        // victim itself, so it stops right before it and lines 24–26's
+        // re-find by key has nothing to do.
+        let height = p.victim_height(victim).await;
+        let preds = self.search(p, victim, height).await;
+        // Line 27: lock the whole node, in relaxed mode only, where the
+        // claim read no stamp and the victim's insert may still be linking.
+        // A strict victim passed `load_stamp < time`, and its insert stores
+        // the stamp only after `unlock_node`, so the claim already ordered
+        // this delete after that unlock and after every level it linked.
+        if !self.strict {
+            p.lock_node(victim).await;
+        }
         // Lines 28–35: unlink top-down, two locks per level, pointing the
         // removed node's forward pointer *backwards* at its predecessor so
         // concurrent traversals escape gracefully (§2).
-        let height = p.victim_height(victim).await;
         for lvl in (0..height).rev() {
             let pred = self.get_lock(p, preds[lvl], victim, lvl).await;
             p.debug_check_pred(pred, victim, lvl);
@@ -158,7 +170,9 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
             p.unlock_level(pred, lvl).await;
         }
         // Lines 36–37: release and retire to the stamped garbage list (§3).
-        p.unlock_node(victim).await;
+        if !self.strict {
+            p.unlock_node(victim).await;
+        }
         p.observe(&mut ctx, Event::Retire(victim));
         p.retire_one(victim, height).await;
         p.exit(&mut ctx).await;

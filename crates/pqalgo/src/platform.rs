@@ -138,7 +138,11 @@ pub trait Platform {
     async fn lock_level(&self, node: Self::Node, lvl: usize);
     /// Releases `node`'s level-`lvl` pointer lock.
     async fn unlock_level(&self, node: Self::Node, lvl: usize);
-    /// Acquires the whole-node lock (Figure 10 line 20 / Figure 11 line 27).
+    /// Acquires the whole-node lock: an insert holds it while it links its
+    /// node (Figure 10 line 20), and a relaxed delete takes it on its victim
+    /// to wait out an insert still linking (Figure 11 line 27). A strict
+    /// delete skips it: its claim read the stamp, which the insert stores
+    /// only after releasing this lock.
     async fn lock_node(&self, node: Self::Node);
     /// Releases the whole-node lock.
     async fn unlock_node(&self, node: Self::Node);
@@ -160,7 +164,9 @@ pub trait Platform {
     /// (Figure 11 lines 11–13). The winner of the SWAP is the unique caller.
     async fn take_payload(&self, node: Self::Node);
     /// `victim`'s tower height (free on native; a charged READ of the level
-    /// word on the simulator).
+    /// word on the simulator). Read right after the claim, before the
+    /// physical delete's search, which then walks only the victim's own
+    /// levels.
     async fn victim_height(&self, victim: Self::Node) -> usize;
     /// Debug-build check that `pred` points at `victim` at `lvl`. Free on
     /// both runtimes (the simulator peeks host-side).

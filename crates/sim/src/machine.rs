@@ -205,6 +205,13 @@ impl Machine {
         self.shared_ops
     }
 
+    /// Replaces the scheduler built from `cfg.sched`, before the run
+    /// starts: how a test installs a hand-written [`Scheduler`] that no
+    /// [`SchedSpec`] describes.
+    pub fn set_scheduler(&mut self, sched: Box<dyn Scheduler>) {
+        self.sched = sched;
+    }
+
     /// Total cycles of scheduler/fault delay injected so far.
     pub fn injected_delay(&self) -> Cycles {
         self.injected_delay

@@ -602,7 +602,7 @@ impl PeekPlatform for SimOp<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pqsim::SimConfig;
+    use pqsim::{CostModel, Pid, SchedPoint, Scheduler, SimConfig};
 
     fn new_sim(n: u32) -> Sim {
         Sim::new(SimConfig::new(n).with_seed(42))
@@ -1004,6 +1004,159 @@ mod tests {
                 Empty,
             ]
         );
+    }
+
+    /// Tallest tower on the bottom level (out of band).
+    fn tallest_tower(q: &SimSkipQueue, sim: &Sim) -> usize {
+        let m = sim.machine();
+        let m = m.borrow();
+        let mut tallest = 0;
+        let mut cur = m.mem.peek(next_addr(q.head, 0)) as Addr;
+        while cur != q.tail {
+            tallest = tallest.max(m.mem.peek(cur + LEVEL) as usize);
+            cur = m.mem.peek(next_addr(cur, 0)) as Addr;
+        }
+        tallest
+    }
+
+    /// The physical delete searches only the victim's own levels, so with
+    /// one charged cycle per operation the cost of draining a queue whose
+    /// towers all stay below 20 is the same under a tower cap of 20 or 30.
+    /// When the search started at the head's top level instead, every
+    /// delete also paid one charged READ (and one key READ) per empty level
+    /// above the victim, so the cap-30 drain cost more.
+    #[test]
+    fn delete_cost_does_not_depend_on_tower_cap() {
+        fn drain_cycles(max_level: usize, strict: bool) -> Cycles {
+            let cfg = SimConfig::new(1).with_seed(3).with_cost(CostModel::unit());
+            let mut sim = Sim::new(cfg);
+            let q = SimSkipQueue::create(&sim, max_level, strict);
+            q.populate(&sim, &mut Pcg32::new(11, 3), 64, 1 << 20);
+            assert!(
+                tallest_tower(&q, &sim) < 20,
+                "seed must keep towers below 20"
+            );
+            let q2 = q.clone();
+            sim.spawn(move |p| async move {
+                for _ in 0..64 {
+                    assert!(q2.delete_min(&p).await.is_some());
+                }
+            });
+            sim.run().final_time
+        }
+        for strict in [true, false] {
+            assert_eq!(
+                drain_cycles(20, strict),
+                drain_cycles(30, strict),
+                "strict {strict}"
+            );
+        }
+    }
+
+    /// Holds processor `pid` after its first clock read: the next shared
+    /// access it issues waits `cycles`.
+    #[derive(Debug)]
+    struct HoldAfterClockRead {
+        pid: Pid,
+        cycles: Cycles,
+        clock_read: bool,
+        fired: bool,
+    }
+
+    impl Scheduler for HoldAfterClockRead {
+        fn delay(&mut self, pid: Pid, point: SchedPoint, _op_index: u64) -> Cycles {
+            if pid != self.pid || self.fired {
+                return 0;
+            }
+            if point == SchedPoint::ClockRead {
+                self.clock_read = true;
+                0
+            } else if self.clock_read {
+                self.fired = true;
+                self.cycles
+            } else {
+                0
+            }
+        }
+    }
+
+    /// A strict delete-min that is descheduled right after its `getTime()`
+    /// read can return EMPTY from a queue that is never empty: while it is
+    /// held, another processor deletes every item stamped before that read
+    /// and inserts replacements stamped after it, so the held delete's
+    /// walk finds only nodes it must skip. Definition 1 allows this (every
+    /// item in its candidate set was deleted by an overlapping delete), and
+    /// the history audit accepts it.
+    #[test]
+    fn strict_delete_held_after_its_clock_read_returns_empty() {
+        const N: u64 = 16;
+        const START: Cycles = 1_000_000;
+        let mut sim = Sim::new(SimConfig::new(2).with_seed(13));
+        sim.machine()
+            .borrow_mut()
+            .set_scheduler(Box::new(HoldAfterClockRead {
+                pid: 0,
+                cycles: 1_000_000_000,
+                clock_read: false,
+                fired: false,
+            }));
+        let tap = HistoryTap::new();
+        let q = SimSkipQueue::create(&sim, 8, true).with_tap(tap.clone());
+        let held = sim.alloc_shared(1);
+        let q0 = q.clone();
+        sim.spawn(move |p| async move {
+            p.work(START);
+            let r = q0.delete_min(&p).await;
+            p.write(held, u64::from(r.is_none())).await;
+        });
+        let q1 = q.clone();
+        sim.spawn(move |p| async move {
+            for k in 1..=N {
+                q1.insert(&p, k, k).await;
+            }
+            assert!(
+                p.now() < START,
+                "items stamped before the held delete began"
+            );
+            p.work(START + 10_000 - p.now());
+            for k in 1..=N {
+                assert_eq!(q1.delete_min(&p).await, Some((k, k)));
+                q1.insert(&p, N + k, N + k).await;
+            }
+        });
+        sim.run();
+        assert_eq!(
+            sim.read_word(held),
+            1,
+            "the held strict delete returned EMPTY"
+        );
+        assert_eq!(q.check_invariants(&sim), N as usize);
+
+        let history = tap.take();
+        let (empty_invoked, empty_responded) = history
+            .ops()
+            .iter()
+            .find_map(|op| match *op {
+                histcheck::Op::DeleteMin {
+                    value: None,
+                    invoked,
+                    responded,
+                } => Some((invoked, responded)),
+                _ => None,
+            })
+            .expect("one EMPTY recorded");
+        // The other processor's whole cycle ran inside the held delete.
+        for op in history.ops() {
+            if let histcheck::Op::DeleteMin {
+                value: Some(_),
+                invoked,
+                responded,
+            } = *op
+            {
+                assert!(empty_invoked < invoked && responded < empty_responded);
+            }
+        }
+        assert_eq!(history.check_definition1(), vec![]);
     }
 
     #[test]
